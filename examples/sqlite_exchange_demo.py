@@ -19,12 +19,13 @@ same:
   Python, so working sets can exceed memory;
 * deletions work store-resident too: `delete_local` marks victims in
   SQL and `propagate_deletions` re-runs the paper's DERIVABILITY test
-  as an iterative SQL fixpoint over the `P_m` firing history, killing
-  unsupported tuples and garbage-collecting dead `P_m` rows;
+  over the store's reachability index, inside the victims' dead cone
+  only, killing unsupported tuples and garbage-collecting dead `P_m`
+  rows;
 * graph *queries* work store-resident as well: `lineage` runs as a
   backward transitive-closure walk over the stored firing history's
-  join columns, and `trusted`/`derivability` re-use the deletion
-  fixpoint with the trust policy pushed into the firing joins — so no
+  join columns, and `trusted`/`derivability` run a liveness fixpoint
+  with the trust policy pushed into the firing joins — so no
   provenance graph is ever materialized for any lifecycle step;
 * both engines produce identical instances, provenance graphs, and
   graph-query answers.
@@ -130,10 +131,11 @@ def main() -> None:
     assert resident.instance_size() == baseline_size
 
     # Store-resident deletion propagation: delete a slice of the most
-    # upstream peer's base data, then let the DERIVABILITY test run as
-    # a SQL fixpoint over the P_m firing history — victims and every
-    # tuple they solely supported disappear from the on-disk instance,
-    # and the dead P_m rows are garbage-collected alongside.
+    # upstream peer's base data, then let the DERIVABILITY test run
+    # inside the victims' dead cone over the reachability index —
+    # victims and every tuple they solely supported disappear from the
+    # on-disk instance, and the dead P_m rows are garbage-collected
+    # alongside.
     upstream = 5
     victims = generate_entries(40, seed=upstream, key_offset=upstream * 10_000_000)[:4]
     for victim in victims:
@@ -143,8 +145,8 @@ def main() -> None:
     stats = resident.last_deletion
     print(
         f"resident delete: {len(victims) * 2} victims marked in SQL, "
-        f"{removed} unsupported tuples propagated out in "
-        f"{stats.iterations} fixpoint rounds, "
+        f"{removed} unsupported tuples propagated out "
+        f"({stats.pm_rows_scanned} firings visited), "
         f"{stats.pm_rows_collected} P_m rows collected"
     )
     assert stats.rows_deleted == removed > 0

@@ -6,8 +6,8 @@ agree on every table, column, and parameter name.  That contract is
 normally only exercised at exchange time — hours into a run for the
 workloads ROADMAP targets.  This pass exercises it at analysis time:
 
-* lower the program all three ways (exchange, derivability,
-  graph-query),
+* lower the program all three ways (exchange, derivability — with
+  the resident kill path's ``P_m`` collectors — and graph-query),
 * create the schema in a **schema-only** store (no data is ever
   written — ``ensure_*`` builds empty tables), and
 * run ``EXPLAIN`` over every generated statement with its parameters
@@ -97,15 +97,16 @@ def lowering_pass(
     """
     from repro.exchange.sql_executor import ExchangeStore
     from repro.exchange.sql_plans import (
-        kill_sql,
+        ANC_STAGES,
+        LIVE_STAGES,
         lower_derivability_program,
         lower_program,
-        pm_gc_sql,
         stage_ancestor_sql,
         stage_live_sql,
         stage_new_sql,
     )
     from repro.exchange.graph_queries import lower_lineage_program
+    from repro.exchange.reach_index import lower_reach_program
 
     diagnostics: list[Diagnostic] = []
     explained = 0
@@ -167,16 +168,16 @@ def lowering_pass(
                 )
         # -- derivability lowering (RA402) ----------------------------
         try:
-            dsql = lower_derivability_program(
-                compilable, catalog, mappings, codec
-            )
+            dsql = lower_derivability_program(compilable, catalog, codec)
         except ExchangeError as exc:
             dsql = None
             diagnostics.append(
                 Diagnostic("RA402", str(exc), subject="derivability")
             )
         if dsql is not None:
-            the_store.ensure_derivability_schema(catalog, dsql)
+            the_store.ensure_work_tables(
+                catalog, dsql.relations, LIVE_STAGES, dsql.rules
+            )
             for drule in dsql.rules:
                 subject = drule.rule_name
                 for dplan in drule.plans:
@@ -186,10 +187,6 @@ def lowering_pass(
                 for insert in drule.head_inserts:
                     explained += _explain_statement(
                         the_store, insert, "RA402", subject, diagnostics
-                    )
-                if drule.pm_insert is not None:
-                    explained += _explain_statement(
-                        the_store, drule.pm_insert, "RA402", subject, diagnostics
                     )
             for relation in dsql.relations:
                 explained += _explain(
@@ -201,26 +198,17 @@ def lowering_pass(
                     relation,
                     diagnostics,
                 )
-            for relation in dsql.derived_relations:
-                explained += _explain(
-                    the_store,
-                    kill_sql(catalog, relation),
-                    {},
-                    (),
-                    "RA402",
-                    relation,
-                    diagnostics,
-                )
-            for _name, pm_table, live_pm, columns in dsql.pm_tables:
-                explained += _explain(
-                    the_store,
-                    pm_gc_sql(pm_table, live_pm, columns),
-                    {},
-                    (),
-                    "RA402",
-                    pm_table,
-                    diagnostics,
-                )
+            if psql is not None:
+                # The resident kill path's P_m collectors join the
+                # reachability index tables (created empty here).
+                rsql = lower_reach_program(compilable, catalog, codec, mappings)
+                the_store.reach_index.ensure_tables()
+                for pm in rsql.pm_collect:
+                    for statement in (pm.dead, pm.whole):
+                        explained += _explain_statement(
+                            the_store, statement, "RA402", pm.rule_name,
+                            diagnostics,
+                        )
         # -- graph-query lowering (RA403) -----------------------------
         try:
             lsql = lower_lineage_program(compilable, catalog, codec)
@@ -230,7 +218,10 @@ def lowering_pass(
                 Diagnostic("RA403", str(exc), subject="graph-query")
             )
         if lsql is not None:
-            the_store.ensure_graph_query_schema(catalog, lsql)
+            the_store.ensure_work_tables(
+                catalog, lsql.relations, ANC_STAGES, lsql.rules,
+                index_firings=True,
+            )
             for lrule in lsql.rules:
                 subject = lrule.rule_name
                 for _head_relation, probe in lrule.head_probes:

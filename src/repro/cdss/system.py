@@ -328,8 +328,8 @@ class CDSS:
         :meth:`instance_size` counts store rows.  The full paper
         lifecycle stays available relationally: :meth:`delete_local`
         marks victims in SQL, :meth:`propagate_deletions` runs the
-        DERIVABILITY test as an iterative SQL fixpoint over the stored
-        firing history, and the graph queries (:meth:`lineage`,
+        DERIVABILITY test inside the dead cone over the store's
+        reachability index, and the graph queries (:meth:`lineage`,
         :meth:`derivability`, :meth:`trusted`) are answered by
         recursive joins over that same history
         (:mod:`repro.exchange.graph_queries`).  Every successful
@@ -610,26 +610,29 @@ class CDSS:
         firing with all-derivable antecedents still produces it.  The
         two engines share this semantics
         (:func:`~repro.provenance.annotate.derivability_partition`)
-        over different substrates — the in-memory provenance graph, or,
-        in store-resident mode, an iterative SQL fixpoint over the
-        ``P_m`` firing history that never materializes anything in
-        Python.  Dead ``P_m`` rows are garbage-collected alongside (for
-        a non-resident system with a SQLite mirror too), so the stored
-        firing history tracks the surviving derivations.
-
-        In resident mode a *current* reachability index survives the
-        sweep: the kill transaction prunes exactly the dead firings
-        from the index (the fixpoint already computed the live set).
-        Only when the dead cone is a large fraction of the index does
-        the call fall back to marking it stale (``index.invalidate``
-        span) — the next graph query then rebuilds it once.  See
-        ``docs/graph-index.md``.
+        over different substrates.  The memory engine annotates the
+        in-memory provenance graph.  In store-resident mode the test
+        runs on the store's reachability index: the victims' deletions
+        recorded the heads of their firings as suspects, and one
+        transaction runs the index's integer liveness kernel inside the
+        suspects' downward cone only (a least fixpoint, so cyclic
+        self-support dies), deletes the dead rows by rowid, and prunes
+        the dead firings — cost proportional to the cone, not the
+        instance, with nothing materialized in Python.  When a delete
+        landed while the index was stale or renumbered, the same kernel
+        runs over every stored derived row instead; when the dead cone
+        is a large fraction of the index, the index is marked stale
+        (``index.invalidate`` span) and the next graph query rebuilds
+        it.  See ``docs/graph-index.md``.  Dead ``P_m`` rows are
+        garbage-collected on both paths (for a non-resident system with
+        a SQLite mirror too), so the stored firing history tracks the
+        surviving derivations.
 
         Returns the number of removed tuples; the full statistics
         (``rows_deleted``, ``pm_rows_collected``, ``iterations``,
         ``engine``) land in :attr:`last_deletion`.  With a tracer
         installed the call emits a ``deletion`` span (annotate children
-        on the graph path, fixpoint/kill children on the store path).
+        on the graph path, cone/kill children on the store path).
         """
         started = time.perf_counter()
         with self.tracer.span("deletion") as span:
@@ -714,7 +717,7 @@ class CDSS:
         return {name: keys for name, keys in dead_keys.items() if keys}
 
     def _propagate_deletions_resident(self) -> EvaluationResult:
-        """Store-path propagation: the SQL derivability fixpoint."""
+        """Store-path propagation over the reachability index."""
         from repro.exchange.sql_executor import SQLiteExchangeEngine
 
         store = self._open_resident_store("deletion propagation")
@@ -792,12 +795,12 @@ class CDSS:
         """Derivability annotation of every tuple (Q5).
 
         **Resident mode**: answered relationally — the stored firing
-        history is annotated by the same SQL liveness fixpoint that
-        drives :meth:`propagate_deletions`, with every stored tuple's
-        verdict read off its membership in the live set; no
+        history is annotated by a liveness fixpoint, with every stored
+        tuple's verdict read off its membership in the live set; no
         :class:`ProvenanceGraph` is materialized.  When the store's
         maintained reachability index is current the fixpoint runs over
-        the compact index tables and repeat calls answer from a cached
+        the compact index tables (the kernel :meth:`propagate_deletions`
+        runs inside the dead cone) and repeat calls answer from a cached
         verdict (``index_hit == 1`` on the stats); a stale index is
         rebuilt once at query time (``index_miss == 1``), after which
         it stays current until the next mutation.  Non-resident systems

@@ -72,8 +72,8 @@ class CompiledExchangeProgram:
     #: memory-only workload never pays for it.
     sql: "ProgramSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the relational DERIVABILITY test, attached
-    #: lazily by the first store-resident deletion propagation (or
-    #: ``derivability``/``trusted`` graph query).
+    #: lazily by the first unindexed (``use_index=False``)
+    #: ``derivability``/``trusted`` graph query.
     derivability: "DerivabilitySQL | None" = field(default=None, repr=False)
     #: SQL lowering of the backward lineage walk, attached lazily by
     #: the first store-resident ``lineage`` query.

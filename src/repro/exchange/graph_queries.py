@@ -8,8 +8,7 @@ mode's last gap by answering the three :class:`~repro.cdss.system.CDSS`
 graph queries entirely in SQL — no
 :class:`~repro.provenance.graph.ProvenanceGraph` is ever materialized:
 
-* **derivability** (Q5) — the forward liveness fixpoint of PR 4's
-  deletion propagation, re-used verbatim: every stored
+* **derivability** (Q5) — a forward liveness fixpoint: every stored
   local-contribution row seeds the ``__live_*`` tables and the lowered
   rule bodies grow them semi-naively; a tuple's annotation is its
   membership in the resulting live set (the least fixpoint of the
@@ -61,6 +60,8 @@ from repro.datalog.planner import CompiledRule
 from repro.errors import EvaluationError, ExchangeError
 from repro.exchange.cache import CompiledExchangeProgram
 from repro.exchange.sql_plans import (
+    ANC_STAGES,
+    LIVE_STAGES,
     DerivabilityRuleSQL,
     DerivabilitySQL,
     HeadProbe,
@@ -73,11 +74,8 @@ from repro.exchange.sql_plans import (
     _slot_types,
     anc_cand_table,
     anc_delta_table,
-    anc_new_table,
     anc_table,
-    live_cand_table,
     live_delta_table,
-    live_new_table,
     live_table,
     lower_derivability_program,
     lower_program,
@@ -214,7 +212,6 @@ def run_liveness_fixpoint(
     delta_counts: dict[str, int],
     max_iterations: int | None = None,
     rules: Sequence[DerivabilityRuleSQL] | None = None,
-    record_pm: bool = True,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
 ) -> tuple[int, int]:
     """Grow the seeded ``__live_*`` sets to their least fixpoint.
@@ -222,18 +219,15 @@ def run_liveness_fixpoint(
     The caller has already staged the seed rows into the live and
     live-delta tables and passes their per-relation counts.  ``rules``
     optionally restricts the fixpoint to a subset of the program (trust
-    excludes distrusted mappings); ``record_pm`` controls whether the
-    surviving-``P_m`` projections are maintained (deletion propagation
-    needs them for garbage collection, queries do not).
+    excludes distrusted mappings).
 
     Returns ``(iterations, firing_rows)`` where ``firing_rows`` counts
     every live firing enumerated — the relational analogue of the
     derivation nodes a graph walk would visit.
 
-    This single loop is the substrate under deletion propagation
-    (:meth:`~repro.exchange.sql_executor.SQLiteExchangeEngine.propagate_deletions`)
-    and the ``derivability``/``trusted`` queries, which is what keeps
-    the two semantics mechanically identical.
+    This loop is the substrate under the unindexed
+    (``use_index=False``) ``derivability``/``trusted`` queries — the
+    relational oracle the index-backed paths are tested against.
 
     ``tracer`` emits one ``fixpoint.round`` span per iteration (round
     number + live firings enumerated); the default no-op tracer costs
@@ -280,32 +274,9 @@ def run_liveness_fixpoint(
                 runtime = {"wm": watermark}
                 for statement in rule.head_inserts:
                     conn.execute(statement.sql, {**statement.params, **runtime})
-                if record_pm and rule.pm_insert is not None:
-                    conn.execute(
-                        rule.pm_insert.sql,
-                        {**rule.pm_insert.params, **runtime},
-                    )
-            for relation in dsql.derived_relations:
-                conn.execute(stage_sql[relation])
-            for relation in dsql.relations:
-                conn.execute(f"DELETE FROM {_q(live_delta_table(relation))}")
-            new_counts: dict[str, int] = {}
-            for relation in dsql.derived_relations:
-                fresh = store.count(live_new_table(relation))
-                if fresh:
-                    conn.execute(
-                        f"INSERT INTO {_q(live_table(relation))} "
-                        f"SELECT * FROM {_q(live_new_table(relation))}"
-                    )
-                    conn.execute(
-                        f"INSERT INTO {_q(live_delta_table(relation))} "
-                        f"SELECT * FROM {_q(live_new_table(relation))}"
-                    )
-                    conn.execute(
-                        f"DELETE FROM {_q(live_new_table(relation))}"
-                    )
-                    new_counts[relation] = fresh
-                conn.execute(f"DELETE FROM {_q(live_cand_table(relation))}")
+            new_counts = store.promote_round(
+                LIVE_STAGES, stage_sql, dsql.relations
+            )
             round_span.set("round", iteration).set(
                 "firings", firing_rows - fired_before
             )
@@ -384,7 +355,8 @@ class StoreGraphQueries:
         program = self.program
         if program.reach is None:
             program.reach = lower_reach_program(
-                program.compiled, self.catalog, self.store.codec
+                program.compiled, self.catalog, self.store.codec,
+                self.mappings,
             )
         rsql = program.reach
         index = self.store.reach_index
@@ -399,10 +371,12 @@ class StoreGraphQueries:
         program = self.program
         if program.derivability is None:
             program.derivability = lower_derivability_program(
-                program.compiled, self.catalog, self.mappings, self.store.codec
+                program.compiled, self.catalog, self.store.codec
             )
         dsql = program.derivability
-        self.store.ensure_derivability_schema(self.catalog, dsql)
+        self.store.ensure_work_tables(
+            self.catalog, dsql.relations, LIVE_STAGES, dsql.rules
+        )
         return dsql
 
     def _lineage_sql(self) -> LineageSQL:
@@ -412,7 +386,10 @@ class StoreGraphQueries:
                 program.compiled, self.catalog, self.store.codec
             )
         lsql = program.lineage
-        self.store.ensure_graph_query_schema(self.catalog, lsql)
+        self.store.ensure_work_tables(
+            self.catalog, lsql.relations, ANC_STAGES, lsql.rules,
+            index_firings=True,
+        )
         return lsql
 
     #: batch size of the streamed (leaf-condition-filtered) seeding.
@@ -491,7 +468,7 @@ class StoreGraphQueries:
         fixpoint, and read every stored row's verdict."""
         dsql = self._derivability_sql()
         store = self.store
-        store.reset_derivability(dsql)
+        store.clear_work_tables(dsql.relations, LIVE_STAGES, dsql.rules)
         try:
             delta_counts: dict[str, int] = {}
             with store.connection:
@@ -506,7 +483,6 @@ class StoreGraphQueries:
                 delta_counts,
                 max_iterations,
                 rules=rules,
-                record_pm=False,
                 tracer=self.tracer,
             )
             values = {
@@ -515,7 +491,7 @@ class StoreGraphQueries:
                 for row, live in self._membership(relation)
             }
         finally:
-            store.reset_derivability(dsql)
+            store.clear_work_tables(dsql.relations, LIVE_STAGES, dsql.rules)
         return values, self._result(iterations, scanned)
 
     def _annotate_indexed(
@@ -531,7 +507,7 @@ class StoreGraphQueries:
         conn = self.store.connection
         catalog = self.catalog
 
-        def seed(relation: str, base: int) -> int:
+        def seed_relation(relation: str, base: int) -> int:
             spec = seeds.get(relation)
             if spec is SEED_NOTHING:
                 return 0
@@ -554,9 +530,16 @@ class StoreGraphQueries:
                 )
             return len(ids)
 
+        def seed() -> int:
+            return sum(
+                seed_relation(relation, base)
+                for relation in rsql.edb_relations
+                if (base := index.id_base(relation)) is not None
+            )
+
         try:
             iterations, scanned = index.annotate_fixpoint(
-                seed, rsql.edb_relations, distrusted, max_iterations
+                seed, distrusted, max_iterations
             )
             values: dict[TupleNode, bool] = {}
             for relation in rsql.relations:
@@ -693,7 +676,7 @@ class StoreGraphQueries:
         if stored is None:
             raise KeyError(node)
 
-        store.reset_graph_query(lsql)
+        store.clear_work_tables(lsql.relations, ANC_STAGES, lsql.rules)
         try:
             iterations, scanned = self._walk_lineage(
                 lsql, node.relation, encoded, max_iterations
@@ -704,7 +687,7 @@ class StoreGraphQueries:
                 for row in self._closure_rows(relation)
             )
         finally:
-            store.reset_graph_query(lsql)
+            store.clear_work_tables(lsql.relations, ANC_STAGES, lsql.rules)
         return leaves, self._result(iterations, scanned)
 
     def _lineage_indexed(
@@ -815,30 +798,9 @@ class StoreGraphQueries:
                         conn.execute(
                             statement.sql, {**statement.params, **runtime}
                         )
-                for relation in lsql.relations:
-                    conn.execute(stage_sql[relation])
-                    conn.execute(
-                        f"DELETE FROM {_q(anc_delta_table(relation))}"
-                    )
-                new_counts: dict[str, int] = {}
-                for relation in lsql.relations:
-                    fresh = store.count(anc_new_table(relation))
-                    if fresh:
-                        conn.execute(
-                            f"INSERT INTO {_q(anc_table(relation))} "
-                            f"SELECT * FROM {_q(anc_new_table(relation))}"
-                        )
-                        conn.execute(
-                            f"INSERT INTO {_q(anc_delta_table(relation))} "
-                            f"SELECT * FROM {_q(anc_new_table(relation))}"
-                        )
-                        conn.execute(
-                            f"DELETE FROM {_q(anc_new_table(relation))}"
-                        )
-                        new_counts[relation] = fresh
-                    conn.execute(
-                        f"DELETE FROM {_q(anc_cand_table(relation))}"
-                    )
+                new_counts = store.promote_round(
+                    ANC_STAGES, stage_sql, lsql.relations
+                )
                 round_span.set("round", iteration).set(
                     "firings", firing_rows - fired_before
                 )

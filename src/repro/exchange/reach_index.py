@@ -21,10 +21,13 @@ Design (documented in full in ``docs/graph-index.md``):
 * **maintenance** is incremental: after a resident exchange the fresh
   ``__fired_*`` log rows are translated into new fire/body rows
   (:meth:`ReachabilityIndex.extend_from_log`); a targeted deletion
-  removes exactly the incident fires; deletion propagation prunes the
-  dead cone set-at-a-time, falling back to a stale-mark (and a later
-  query-time rebuild) when the cone exceeds
-  :data:`PRUNE_FALLBACK_RATIO` of the index;
+  removes exactly the incident fires and records their heads as
+  *suspects* (``__ridx_suspect``);
+* **deletion propagation** runs here too: the liveness kernel runs
+  only inside the suspects' downward *cone*, the dead rows and their
+  ``P_m`` bindings are killed by id, and the dead fires are pruned —
+  falling back to a stale-mark (and a later rebuild) when the cone
+  exceeds :data:`PRUNE_FALLBACK_RATIO` of the index;
 * the index **epoch** and state live in the store's ``__meta`` table,
   so a store reopened by path knows whether its index is current;
 * a per-epoch **interval encoding** (``__ridx_info``: pre/post-order
@@ -44,9 +47,10 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro.datalog.planner import CompiledRule, _assign_slots, _compile_term
+from repro.cdss.mapping import SchemaMapping, provenance_relation_name
+from repro.datalog.planner import K_SLOT, CompiledRule, _assign_slots, _compile_term
 from repro.errors import EvaluationError
 from repro.exchange.sql_plans import (
     _ParamAllocator,
@@ -55,7 +59,6 @@ from repro.exchange.sql_plans import (
     _slot_types,
     Statement,
     fired_table,
-    live_table,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.relational.instance import Catalog
@@ -89,9 +92,35 @@ REL_TABLE = "__ridx_rel"
 FIRE_TABLE = "__ridx_fire"
 BODY_TABLE = "__ridx_body"
 INFO_TABLE = "__ridx_info"
+#: heads (and rules) of the fires removed by victim deletions since the
+#: last propagation — persisted, so the set survives a crash.
+SUSPECT_TABLE = "__ridx_suspect"
+
+#: the permanent tables and their indexes.
+_SCHEMA_DDL = (
+    f"CREATE TABLE IF NOT EXISTS {_q(REL_TABLE)} "
+    "(name TEXT PRIMARY KEY, relno INTEGER NOT NULL)",
+    f"CREATE TABLE IF NOT EXISTS {_q(FIRE_TABLE)} "
+    "(fid INTEGER PRIMARY KEY, rule TEXT NOT NULL, head INTEGER NOT NULL)",
+    f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + FIRE_TABLE + '_head')} "
+    f"ON {_q(FIRE_TABLE)} (head)",
+    f"CREATE TABLE IF NOT EXISTS {_q(BODY_TABLE)} (fid INTEGER NOT NULL, "
+    "body INTEGER NOT NULL, PRIMARY KEY (fid, body)) WITHOUT ROWID",
+    f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + BODY_TABLE + '_body')} "
+    f"ON {_q(BODY_TABLE)} (body)",
+    f"CREATE TABLE IF NOT EXISTS {_q(INFO_TABLE)} (id INTEGER PRIMARY KEY, "
+    "layer INTEGER NOT NULL, tin INTEGER NOT NULL, tout INTEGER NOT NULL)",
+    f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + INFO_TABLE + '_tin')} "
+    f"ON {_q(INFO_TABLE)} (tin)",
+    f"CREATE TABLE IF NOT EXISTS {_q(SUSPECT_TABLE)} (id INTEGER NOT NULL, "
+    "rule TEXT NOT NULL, PRIMARY KEY (id, rule)) WITHOUT ROWID",
+)
 
 #: TEMP work tables (connection-local, cleared between uses).
-_ID_TEMPS = ("__rq_live", "__rq_delta", "__rq_new", "__rq_anc", "__rq_dead")
+_ID_TEMPS = (
+    "__rq_live", "__rq_delta", "__rq_new", "__rq_anc", "__rq_dead",
+    "__rq_cone",
+)
 
 
 # -- read-path substrate -----------------------------------------------------
@@ -227,6 +256,35 @@ class ReachRuleSQL:
 
 
 @dataclass(frozen=True)
+class PmCollectSQL:
+    """Deletion-propagation garbage collection of one mapping's ``P_m``:
+    delete the rows no surviving firing projects onto, testing survival
+    by joining the rule body over the stored rows outside ``__rq_dead``.
+    ``dead`` tests only the bindings of the fires in ``__rq_deadfid``,
+    ``whole`` every row.  Runtime ``b0, b1, ...``: the id bases of
+    :attr:`relations` (the body atoms' relations, in atom order)."""
+
+    rule_name: str
+    relations: tuple[str, ...]
+    dead: Statement
+    whole: Statement
+
+
+@dataclass(frozen=True)
+class ConeStats:
+    """What :meth:`ReachabilityIndex.begin_prune` staged; ``whole``
+    says the cone was every stored derived row."""
+
+    whole: bool
+    suspects: int
+    cone: int
+    dead: int
+    rounds: int
+    #: fires whose head lies in the cone — all the kernel can visit.
+    fires_visited: int
+
+
+@dataclass(frozen=True)
 class ReachSQL:
     """SQL lowering of the whole program's index maintenance."""
 
@@ -236,6 +294,13 @@ class ReachSQL:
     #: the leaf (local-contribution) relations — lineage answers are
     #: the closure's intersection with these.
     edb_relations: tuple[str, ...]
+    #: one collector per mapping with a materialized ``P_m``.
+    pm_collect: tuple[PmCollectSQL, ...]
+
+    @property
+    def derived_relations(self) -> tuple[str, ...]:
+        """Head relations: the only ones deletion propagation kills in."""
+        return tuple(r for r in self.relations if r not in self.edb_relations)
 
 
 def _endpoint_insert(
@@ -283,17 +348,95 @@ def _endpoint_insert(
     return Statement(sql, alloc.params, runtime=("wm", "base", base_param))
 
 
+def _lower_pm_collect(
+    crule: CompiledRule,
+    mapping: SchemaMapping,
+    catalog: Catalog,
+    codec: ValueCodec,
+) -> PmCollectSQL:
+    """Lower :class:`PmCollectSQL` for one mapping's rule.
+
+    Body atoms join as ``t0, t1, ...``: a slot binds at its first
+    occurrence, later occurrences and constants become ``IS``
+    conditions (SQL-compilable bodies carry no Skolem terms).  A dead
+    fire's bindings re-join each atom to the fire's body ids; a body
+    set admitting several atom assignments yields every firing with
+    that body — and all of them die together.
+    """
+    rule = crule.rule
+    slot_of = _assign_slots(rule)
+    alloc = _ParamAllocator(codec)
+    relations = tuple(atom.relation for atom in rule.body)
+    slot_src: dict[int, str] = {}
+    conditions = [f"f.rule = {alloc.bind(rule.name)}"]
+    for index, atom in enumerate(rule.body):
+        cols = catalog[atom.relation].attribute_names
+        for col, term in zip(cols, atom.terms):
+            ref = f"t{index}.{_q(col)}"
+            kind, payload = _compile_term(term, slot_of)
+            if kind != K_SLOT:
+                conditions.append(f"{ref} IS {alloc.bind(payload)}")
+            elif payload in slot_src:
+                conditions.append(f"{ref} IS {slot_src[payload]}")
+            else:
+                slot_src[payload] = ref
+    keys = [
+        (_q(column.name), slot_src[slot_of[column.variable]])
+        for column in mapping.provenance_columns
+    ]
+    table = _q(provenance_relation_name(mapping.name))
+    tables = ", ".join(f"{_q(rel)} AS t{i}" for i, rel in enumerate(relations))
+    survivor = " AND ".join(
+        conditions[1:]
+        + [f"{expr} IS {table}.{col}" for col, expr in keys]
+        + [
+            f't{i}.rowid + :b{i} NOT IN (SELECT id FROM "__rq_dead")'
+            for i in range(len(relations))
+        ]
+    )
+    survives = f"EXISTS (SELECT 1 FROM {tables} WHERE {survivor})"
+    # CROSS JOIN pins the order: start from the dead fires, never from
+    # a scan of the whole body index.
+    joins = "".join(
+        f"\nCROSS JOIN {_q(BODY_TABLE)} AS b{i} ON b{i}.fid = d.fid"
+        f"\nCROSS JOIN {_q(rel)} AS t{i} ON t{i}.rowid = b{i}.body - :b{i}"
+        for i, rel in enumerate(relations)
+    )
+    bindings = (
+        "SELECT DISTINCT "
+        + ", ".join(f"{expr} AS k{n}" for n, (_c, expr) in enumerate(keys))
+        + '\nFROM "__rq_deadfid" AS d\n'
+        f"CROSS JOIN {_q(FIRE_TABLE)} AS f ON f.fid = d.fid{joins}\n"
+        f"WHERE {' AND '.join(conditions)}"
+    )
+    match = " AND ".join(
+        f"p.{col} IS c.k{n}" for n, (col, _e) in enumerate(keys)
+    )
+    runtime = tuple(f"b{i}" for i in range(len(relations)))
+    dead = (
+        f"DELETE FROM {table} WHERE rowid IN (SELECT p.rowid FROM {table} "
+        f"AS p JOIN ({bindings}) AS c ON {match})\nAND NOT {survives}"
+    )
+    whole = f"DELETE FROM {table} WHERE NOT {survives}"
+    return PmCollectSQL(
+        rule.name,
+        relations,
+        Statement(dead, alloc.params, runtime),
+        Statement(whole, alloc.params, runtime),
+    )
+
+
 def lower_reach_program(
     compiled: Sequence[CompiledRule],
     catalog: Catalog,
     codec: ValueCodec,
+    mappings: Mapping[str, SchemaMapping],
 ) -> ReachSQL:
-    """Lower every rule's index-maintenance statements.
+    """Lower every rule's index-maintenance statements, plus the
+    deletion-propagation ``P_m`` collectors.
 
     Only reachable after :func:`~repro.exchange.sql_plans.lower_program`
-    succeeded for the same program, so every rule has at least one plan
-    and the shared leaf model (local relations are pure EDB leaves)
-    already holds.
+    succeeded for the same program, so every rule has at least one plan.
     """
     relations: dict[str, None] = {}
     heads: set[str] = set()
@@ -360,10 +503,18 @@ def lower_reach_program(
                 tuple(head_sqls),
             )
         )
+    pm_collect = tuple(
+        _lower_pm_collect(crule, mapping, catalog, codec)
+        for crule in compiled
+        if (mapping := mappings.get(crule.rule.name)) is not None
+        and not mapping.is_superfluous
+        and mapping.provenance_columns
+    )
     return ReachSQL(
         tuple(rules),
         tuple(relations),
         tuple(r for r in relations if r not in heads),
+        pm_collect,
     )
 
 
@@ -429,14 +580,18 @@ class ReachabilityIndex:
         if self.state is not None:
             self._bump_epoch()
 
-    def note_renumbered(self) -> None:
+    def note_renumbered(self, dropped: bool) -> None:
         """A relation table was reloaded in full (rowids renumbered):
         every node id may now point at a different tuple.  Marks the
         index stale; the flag also defeats the incremental path of the
-        surrounding run's :meth:`on_run_complete`."""
+        surrounding run's :meth:`on_run_complete`.  *dropped*: the
+        reload replaced stored rows, so rows may have gone without
+        recording suspects."""
         if self.state is not None:
             self._renumbered = True
             self.mark_stale()
+            if dropped:
+                self.note_unmaintained_delete()
 
     def _bump_epoch(self) -> int:
         epoch = self.epoch + 1
@@ -449,40 +604,7 @@ class ReachabilityIndex:
         """Create (idempotently) the permanent index tables and
         register a relation number for every relation of *rsql*."""
         conn = self.store.connection
-        if not self._schema_ready:
-            conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {_q(REL_TABLE)} "
-                "(name TEXT PRIMARY KEY, relno INTEGER NOT NULL)"
-            )
-            conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {_q(FIRE_TABLE)} "
-                "(fid INTEGER PRIMARY KEY, rule TEXT NOT NULL, "
-                "head INTEGER NOT NULL)"
-            )
-            conn.execute(
-                f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + FIRE_TABLE + '_head')} "
-                f"ON {_q(FIRE_TABLE)} (head)"
-            )
-            conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {_q(BODY_TABLE)} "
-                "(fid INTEGER NOT NULL, body INTEGER NOT NULL, "
-                "PRIMARY KEY (fid, body)) WITHOUT ROWID"
-            )
-            conn.execute(
-                f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + BODY_TABLE + '_body')} "
-                f"ON {_q(BODY_TABLE)} (body)"
-            )
-            conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {_q(INFO_TABLE)} "
-                "(id INTEGER PRIMARY KEY, layer INTEGER NOT NULL, "
-                "tin INTEGER NOT NULL, tout INTEGER NOT NULL)"
-            )
-            conn.execute(
-                f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + INFO_TABLE + '_tin')} "
-                f"ON {_q(INFO_TABLE)} (tin)"
-            )
-            conn.commit()
-            self._schema_ready = True
+        self.ensure_tables()
         missing = [r for r in rsql.relations if r not in self._relnos]
         if missing:
             self._load_relnos()
@@ -500,6 +622,16 @@ class ReachabilityIndex:
                     )
                     self._relnos[name] = next_no
                     next_no += 1
+
+    def ensure_tables(self) -> None:
+        """Create (idempotently) the permanent index tables and the
+        connection's TEMP work tables — DDL only, no rows written."""
+        self._ensure_temps()
+        if not self._schema_ready:
+            for ddl in _SCHEMA_DDL:
+                self.store.connection.execute(ddl)
+            self.store.connection.commit()
+            self._schema_ready = True
 
     def _load_relnos(self) -> None:
         self._relnos.update(load_relnos(self.store.connection))
@@ -668,101 +800,176 @@ class ReachabilityIndex:
         supplies the transaction and has checked :meth:`maintains`).
         Removes the fires incident to the node — they reference a tuple
         that no longer exists, so the unindexed join paths would not
-        enumerate them either — and bumps the epoch."""
-        self._ensure_temps()
+        enumerate them either — records their heads (and rules) as
+        deletion suspects, and bumps the epoch."""
+        self.ensure_tables()
         conn = self.store.connection
         node = self.id_base(relation) + rowid
         conn.execute('DELETE FROM "__rq_deadfid"')
+        for column, table in (("head", FIRE_TABLE), ("body", BODY_TABLE)):
+            conn.execute(
+                'INSERT OR IGNORE INTO "__rq_deadfid" '
+                f"SELECT fid FROM {_q(table)} WHERE {column} = ?",
+                (node,),
+            )
         conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
-            f"SELECT fid FROM {_q(FIRE_TABLE)} WHERE head = ?",
-            (node,),
+            f"INSERT OR IGNORE INTO {_q(SUSPECT_TABLE)} SELECT head, rule "
+            f'FROM {_q(FIRE_TABLE)} WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
         )
-        conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
-            f"SELECT fid FROM {_q(BODY_TABLE)} WHERE body = ?",
-            (node,),
-        )
-        conn.execute(
-            f"DELETE FROM {_q(FIRE_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
-        conn.execute(
-            f"DELETE FROM {_q(BODY_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
-        conn.execute('DELETE FROM "__rq_deadfid"')
+        self._delete_dead_fires()
         self._bump_epoch()
 
-    def begin_prune(
-        self, derived_relations: Iterable[str], catalog: Catalog
-    ) -> None:
-        """Capture the about-to-die derived rows (inside the caller's
-        kill transaction, *before* the kill sweeps run): every stored
-        row with no live-set match goes into ``__rq_dead`` as a node
-        id.  Leaf victims were already cleaned per-delete."""
-        self._ensure_temps()
+    def note_unmaintained_delete(self) -> None:
+        """A stored row went away without :meth:`on_row_deleted` (the
+        index was not maintaining it): the suspect set may miss heads."""
+        self.store.meta_set("suspects_incomplete", 1)
+
+    def _delete_dead_fires(self) -> None:
         conn = self.store.connection
-        conn.execute('DELETE FROM "__rq_dead"')
-        for relation in derived_relations:
-            base = self.id_base(relation)
-            if base is None:
-                continue
-            cols = catalog[relation].attribute_names
-            match = " AND ".join(
-                f'l.{_q(c)} IS r.{_q(c)}' for c in cols
-            )
+        for table in (FIRE_TABLE, BODY_TABLE):
             conn.execute(
-                f'INSERT INTO "__rq_dead" '
-                f"SELECT r.rowid + {base} FROM {_q(relation)} AS r "
-                f"WHERE NOT EXISTS (SELECT 1 FROM "
-                f"{_q(live_table(relation))} AS l WHERE {match})"
+                f"DELETE FROM {_q(table)} "
+                'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
+            )
+        conn.execute('DELETE FROM "__rq_deadfid"')
+
+    # -- deletion propagation ------------------------------------------------
+
+    def begin_prune(
+        self,
+        rsql: ReachSQL,
+        max_iterations: int | None = None,
+        tracer: "Tracer | NullTracer" = NULL_TRACER,
+    ) -> ConeStats:
+        """Stage the dead cone of the pending deletions into
+        ``__rq_dead`` and the fires touching it into ``__rq_deadfid``
+        (inside the caller's kill transaction).
+
+        The cone is the downward closure of the suspects over
+        ``__ridx_body`` -> ``__ridx_fire``.  No derivation of a node
+        outside it passes through it, and every stored row was live
+        before the deletes, so only cone nodes can die: the liveness
+        kernel (:meth:`annotate_fixpoint`) runs inside the cone only,
+        seeded with the cone fires' body nodes outside it.  It is a
+        least fixpoint, so cyclic self-support inside the cone dies.
+        An incomplete suspect set or a stale index (rebuilt first)
+        takes the same kernel with every stored derived row as cone.
+        """
+        conn = self.store.connection
+        whole = not self.current or bool(
+            self.store.meta_get("suspects_incomplete")
+        )
+        if not self.current:
+            self.rebuild(rsql, tracer)
+        self._clear_ids(*_ID_TEMPS, "__rq_deadfid")
+        if whole:
+            for relation in rsql.derived_relations:
+                conn.execute(
+                    'INSERT INTO "__rq_cone" '
+                    f"SELECT rowid + ? FROM {_q(relation)}",
+                    (self.id_base(relation),),
+                )
+        else:
+            conn.execute(
+                'INSERT INTO "__rq_cone" WITH RECURSIVE cone(id) AS ('
+                f"SELECT id FROM {_q(SUSPECT_TABLE)} UNION "
+                f"SELECT f.head FROM cone AS c "
+                f"JOIN {_q(BODY_TABLE)} AS b ON b.body = c.id "
+                f"JOIN {_q(FIRE_TABLE)} AS f ON f.fid = b.fid) "
+                "SELECT id FROM cone"
             )
 
-    def finish_prune(
-        self, tracer: "Tracer | NullTracer" = NULL_TRACER
-    ) -> None:
-        """Prune the captured dead cone (same transaction as the kill
-        sweeps).  Exact, no cascade: the liveness fixpoint computed the
-        full live set, so every fire not incident to a dead node has
-        all endpoints alive.  Falls back to a stale-mark when the cone
-        is a large fraction of the index (see
-        :data:`PRUNE_FALLBACK_RATIO`)."""
-        conn = self.store.connection
-        (dead,) = conn.execute('SELECT COUNT(*) FROM "__rq_dead"').fetchone()
-        if not dead:
-            return
-        (fires,) = conn.execute(
-            f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)}"
+        def seed() -> int:
+            for table in ("__rq_live", "__rq_delta"):
+                conn.execute(
+                    f'INSERT OR IGNORE INTO "{table}" SELECT b.body '
+                    f"FROM {_q(FIRE_TABLE)} AS f "
+                    f"JOIN {_q(BODY_TABLE)} AS b ON b.fid = f.fid "
+                    'WHERE f.head IN (SELECT id FROM "__rq_cone") '
+                    'AND b.body NOT IN (SELECT id FROM "__rq_cone")'
+                )
+            return self.store.count("__rq_delta")
+
+        rounds, _ = self.annotate_fixpoint(
+            seed, max_iterations=max_iterations, within_cone=True
+        )
+        conn.execute(
+            'INSERT INTO "__rq_dead" SELECT id FROM "__rq_cone" '
+            'WHERE id NOT IN (SELECT id FROM "__rq_live")'
+        )
+        for column, table in (("body", BODY_TABLE), ("head", FIRE_TABLE)):
+            conn.execute(
+                f'INSERT OR IGNORE INTO "__rq_deadfid" SELECT fid FROM '
+                f'{_q(table)} WHERE {column} IN (SELECT id FROM "__rq_dead")'
+            )
+        (suspects,) = conn.execute(
+            f"SELECT COUNT(DISTINCT id) FROM {_q(SUSPECT_TABLE)}"
         ).fetchone()
+        (visited,) = conn.execute(
+            f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)} "
+            'WHERE head IN (SELECT id FROM "__rq_cone")'
+        ).fetchone()
+        return ConeStats(
+            whole, suspects, self.store.count("__rq_cone"),
+            self.store.count("__rq_dead"), rounds, visited,
+        )
+
+    def finish_prune(
+        self,
+        rsql: ReachSQL,
+        whole: bool,
+        tracer: "Tracer | NullTracer" = NULL_TRACER,
+    ) -> tuple[dict[str, int], int]:
+        """Kill what :meth:`begin_prune` staged (same transaction):
+        collect the dead ``P_m`` rows, delete the dead rows by rowid,
+        prune the dead fires and retire the suspect set.  Returns
+        ``(rows removed per relation, P_m rows collected)``.
+
+        Only dead fires' bindings are tested for ``P_m`` collection,
+        except in *whole* runs and for mappings whose own fires a
+        victim deletion removed (their bindings are gone): those test
+        every row.  Pruning is exact — the kernel computed the full
+        live set, so every fire not touching a dead node is live — but
+        falls back to a stale-mark when the cone is a large fraction
+        of the index (:data:`PRUNE_FALLBACK_RATIO`).
+        """
+        conn = self.store.connection
+        removed_rules = {
+            rule
+            for (rule,) in conn.execute(
+                f"SELECT DISTINCT rule FROM {_q(SUSPECT_TABLE)}"
+            )
+        }
+        collected = 0
+        for pm in rsql.pm_collect:
+            full = whole or pm.rule_name in removed_rules
+            statement = pm.whole if full else pm.dead
+            bases = {f"b{i}": self.id_base(r) for i, r in enumerate(pm.relations)}
+            cursor = conn.execute(statement.sql, {**statement.params, **bases})
+            collected += max(cursor.rowcount, 0)
+        removed: dict[str, int] = {}
+        for relation in rsql.derived_relations:
+            base = self.id_base(relation)
+            cursor = conn.execute(
+                f"DELETE FROM {_q(relation)} WHERE rowid IN "
+                '(SELECT id - :base FROM "__rq_dead" '
+                "WHERE id >= :base AND id < :top)",
+                {"base": base, "top": base + REL_SHIFT},
+            )
+            if cursor.rowcount > 0:
+                removed[relation] = cursor.rowcount
+        conn.execute(f"DELETE FROM {_q(SUSPECT_TABLE)}")
+        self.store.meta_set("suspects_incomplete", 0)
+        dead = self.store.count("__rq_dead")
+        fires = self.store.count(FIRE_TABLE)
         if dead * PRUNE_FALLBACK_RATIO > fires:
             with tracer.span("index.invalidate") as span:
                 span.set("dead", dead).set("fires", fires)
                 self.mark_stale()
-            conn.execute('DELETE FROM "__rq_dead"')
-            return
-        conn.execute('DELETE FROM "__rq_deadfid"')
-        conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
-            f'SELECT fid FROM {_q(FIRE_TABLE)} '
-            'WHERE head IN (SELECT id FROM "__rq_dead")'
-        )
-        conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
-            f'SELECT fid FROM {_q(BODY_TABLE)} '
-            'WHERE body IN (SELECT id FROM "__rq_dead")'
-        )
-        conn.execute(
-            f"DELETE FROM {_q(FIRE_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
-        conn.execute(
-            f"DELETE FROM {_q(BODY_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
-        conn.execute('DELETE FROM "__rq_dead"')
-        conn.execute('DELETE FROM "__rq_deadfid"')
-        self._bump_epoch()
+        elif dead:
+            self._delete_dead_fires()
+            self._bump_epoch()
+        return removed, collected
 
     # -- interval encoding ---------------------------------------------------
 
@@ -891,30 +1098,28 @@ class ReachabilityIndex:
 
     def annotate_fixpoint(
         self,
-        seed: Callable[[str, int], int],
-        edb_relations: Sequence[str],
+        seed: Callable[[], int],
         distrusted: Iterable[str] = (),
         max_iterations: int | None = None,
+        within_cone: bool = False,
     ) -> tuple[int, int]:
-        """Integer liveness fixpoint over the index.
+        """Integer liveness fixpoint over the index — the one kernel
+        behind the derivability/trust queries and deletion propagation.
 
-        *seed* stages each EDB relation's seed ids into
-        ``__rq_live``/``__rq_delta`` (given the relation and its id
-        base; returns the count).  Each round promotes every fire whose
-        rule is trusted, whose body touches the delta, and whose body
-        ids are all live.  Returns ``(iterations, live_fires)`` —
-        matching the unindexed fixpoint's ``(iterations,
-        pm_rows_scanned)`` shape.
+        *seed* stages the seed ids into ``__rq_live``/``__rq_delta``
+        (after they were cleared) and returns the count.  Each round
+        promotes every fire whose rule is trusted, whose body touches
+        the delta, and whose body ids are all live; ``within_cone``
+        additionally restricts promotion to heads in ``__rq_cone``.
+        Returns ``(iterations, live_fires)`` — matching the unindexed
+        fixpoint's ``(iterations, pm_rows_scanned)`` shape; deletion
+        propagation, which counts its own visited fires, skips the
+        live-fire count (``live_fires`` is then 0).
         """
         self._ensure_temps()
         conn = self.store.connection
         self._clear_ids("__rq_live", "__rq_delta", "__rq_new", "__rq_distrust")
-        seeded = 0
-        for relation in edb_relations:
-            base = self.id_base(relation)
-            if base is None:
-                continue
-            seeded += seed(relation, base)
+        seeded = seed()
         conn.executemany(
             'INSERT OR IGNORE INTO "__rq_distrust" VALUES (?)',
             [(name,) for name in distrusted],
@@ -924,7 +1129,12 @@ class ReachabilityIndex:
             f"SELECT f.head FROM {_q(FIRE_TABLE)} AS f "
             f"WHERE f.fid IN (SELECT b.fid FROM {_q(BODY_TABLE)} AS b "
             '  JOIN "__rq_delta" AS d ON b.body = d.id) '
-            'AND f.rule NOT IN (SELECT rule FROM "__rq_distrust") '
+            + (
+                'AND f.head IN (SELECT id FROM "__rq_cone") '
+                if within_cone
+                else ""
+            )
+            + 'AND f.rule NOT IN (SELECT rule FROM "__rq_distrust") '
             'AND NOT EXISTS (SELECT 1 FROM "__rq_live" AS l '
             "  WHERE l.id = f.head) "
             f'AND NOT EXISTS (SELECT 1 FROM {_q(BODY_TABLE)} AS b2 '
@@ -953,6 +1163,8 @@ class ReachabilityIndex:
                 'SELECT COUNT(*) FROM "__rq_new"'
             ).fetchone()
             self._clear_ids("__rq_new")
+        if within_cone:
+            return iterations, 0
         (live_fires,) = conn.execute(
             f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)} AS f "
             'WHERE f.rule NOT IN (SELECT rule FROM "__rq_distrust") '

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
-from typing import Callable, Iterable, Mapping as TMapping
+from typing import Any, Callable, Iterable, Mapping as TMapping
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
@@ -42,26 +42,15 @@ from repro.datalog.planner import ground_extractors
 from repro.datalog.terms import SkolemValue
 from repro.errors import EvaluationError, ExchangeError
 from repro.exchange.cache import CompiledExchangeProgram
-from repro.exchange.graph_queries import LineageSQL, run_liveness_fixpoint
+# Re-exported: layer tracers wrap it by this module path as well.
+from repro.exchange.graph_queries import run_liveness_fixpoint  # noqa: F401
 from repro.exchange.reach_index import ReachabilityIndex, lower_reach_program
 from repro.exchange.sql_plans import (
-    DerivabilitySQL,
     ProgramSQL,
-    anc_cand_table,
-    anc_delta_table,
-    anc_new_table,
-    anc_table,
     cand_table,
     delta_table,
-    kill_sql,
-    live_cand_table,
-    live_delta_table,
-    live_new_table,
-    live_table,
-    lower_derivability_program,
     lower_program,
     new_table,
-    pm_gc_sql,
     slot_column,
     stage_new_sql,
 )
@@ -72,6 +61,9 @@ from repro.relational.instance import Catalog, ChangeMark, Instance, Row
 from repro.relational.schema import RelationSchema, is_local_name
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
+
+#: an exchange round's per-relation tables, the stored relation first.
+EXCHANGE_STAGES = (lambda relation: relation, delta_table, cand_table, new_table)
 
 #: writer-side SQLITE_BUSY grace period for durable (WAL) stores, in
 #: milliseconds.  Readers in repro.serve never hold write locks, so the
@@ -132,10 +124,9 @@ class ExchangeStore:
     rows accumulate across incremental calls (they mirror the growing
     provenance graph), so pointing a second system at the same store
     would leave the first system's rows behind.  ``P_m`` is the
-    *firing history*; deletion propagation keeps it honest: the
-    relational DERIVABILITY fixpoint
-    (:meth:`SQLiteExchangeEngine.propagate_deletions`) garbage-collects
-    the rows whose firing lost a supporting antecedent, and the
+    *firing history*; deletion propagation keeps it honest: resident
+    propagation (:meth:`SQLiteExchangeEngine.propagate_deletions`)
+    garbage-collects the rows no surviving firing projects onto, and the
     graph-path propagation of a non-resident system reconciles the
     store's ``P_m`` via :meth:`delete_provenance_rows` — so the firing
     history no longer retains derivations the graph collected.
@@ -316,6 +307,13 @@ class ExchangeStore:
         )
         self._known_tables.add(name)
 
+    def _create_index(self, table: str, columns: tuple[str, ...]) -> None:
+        cols = ", ".join(_q(c) for c in columns)
+        self.connection.execute(
+            f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + table)} "
+            f"ON {_q(table)} ({cols})"
+        )
+
     def ensure_schema(
         self,
         catalog: Catalog,
@@ -341,11 +339,8 @@ class ExchangeStore:
                 cand_table(schema.name),
             ):
                 self._create_table(name, schema.attribute_names)
-            dcols = ", ".join(_q(c) for c in schema.attribute_names)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{_q('__ix_' + delta_table(schema.name))} "
-                f"ON {_q(delta_table(schema.name))} ({dcols})"
+            self._create_index(
+                delta_table(schema.name), schema.attribute_names
             )
         for rule in sql.rules:
             self._create_table(
@@ -381,111 +376,79 @@ class ExchangeStore:
         if token is not None:
             self._schema_ready.add(token)
 
-    def ensure_derivability_schema(
-        self, catalog: Catalog, dsql: DerivabilitySQL
+    def ensure_work_tables(
+        self,
+        catalog: Catalog,
+        relations: Iterable[str],
+        stages: "tuple[Callable[[str], str], ...]",
+        rules: Iterable[Any],
+        index_firings: bool = False,
     ) -> None:
-        """Create (idempotently) the deletion-propagation work tables:
-        per-relation live/delta/candidate/new stages (the live table
-        indexed on all columns — the kill sweep probes it once per
-        stored row), per-rule live-firing tables, and per-mapping
-        surviving-``P_m`` projections."""
-        for relation in dsql.relations:
-            schema = catalog[relation]
-            for name in (
-                live_table(relation),
-                live_delta_table(relation),
-                live_cand_table(relation),
-                live_new_table(relation),
-            ):
-                self._create_table(name, schema.attribute_names)
-            cols = ", ".join(_q(c) for c in schema.attribute_names)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{_q('__ix_' + live_table(relation))} "
-                f"ON {_q(live_table(relation))} ({cols})"
-            )
-        for rule in dsql.rules:
-            self._create_table(
-                rule.firing_table,
-                tuple(slot_column(s) for s in range(rule.num_slots)),
-            )
-        for _name, _pm_table, live_pm, columns in dsql.pm_tables:
-            self._create_table(live_pm, columns)
-            cols = ", ".join(_q(c) for c in columns)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + live_pm)} "
-                f"ON {_q(live_pm)} ({cols})"
-            )
-        self.connection.commit()
-
-    def ensure_graph_query_schema(
-        self, catalog: Catalog, lsql: LineageSQL
-    ) -> None:
-        """Create (idempotently) the lineage walk's closure-staging
-        tables: per-relation ancestor/delta/candidate/new stages (the
-        ancestor table indexed on all columns — the round-end stage
-        probes it once per candidate) and per-rule visited-firing
-        tables (indexed on all slots for the walk's dedup probe)."""
-        for relation in lsql.relations:
-            schema = catalog[relation]
-            for name in (
-                anc_table(relation),
-                anc_delta_table(relation),
-                anc_cand_table(relation),
-                anc_new_table(relation),
-            ):
-                self._create_table(name, schema.attribute_names)
-            cols = ", ".join(_q(c) for c in schema.attribute_names)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{_q('__ix_' + anc_table(relation))} "
-                f"ON {_q(anc_table(relation))} ({cols})"
-            )
-        for rule in lsql.rules:
+        """Create (idempotently) an unindexed graph query's work tables:
+        per relation one table per *stages* name function — the first,
+        the accumulated set, indexed on all columns (the round-end stage
+        probes it once per candidate) — and per rule its firing table
+        (indexed on all slots when *index_firings*, for a dedup probe)."""
+        for relation in relations:
+            columns = catalog[relation].attribute_names
+            for stage in stages:
+                self._create_table(stage(relation), columns)
+            self._create_index(stages[0](relation), columns)
+        for rule in rules:
             columns = tuple(slot_column(s) for s in range(rule.num_slots))
             self._create_table(rule.firing_table, columns)
-            if columns:
-                cols = ", ".join(_q(c) for c in columns)
-                self.connection.execute(
-                    f"CREATE INDEX IF NOT EXISTS "
-                    f"{_q('__ix_' + rule.firing_table)} "
-                    f"ON {_q(rule.firing_table)} ({cols})"
-                )
+            if index_firings and columns:
+                self._create_index(rule.firing_table, columns)
         self.connection.commit()
 
-    def reset_graph_query(self, lsql: LineageSQL) -> None:
-        """Clear every lineage-walk work table (before a query, and
-        again after it so closures — potentially as large as the
-        query node's full ancestry — do not linger on disk)."""
+    def clear_work_tables(
+        self,
+        relations: Iterable[str],
+        stages: "tuple[Callable[[str], str], ...]",
+        rules: Iterable[Any],
+    ) -> None:
+        """Empty the work tables of :meth:`ensure_work_tables` (before a
+        query, and again after it so closures and live sets — as large
+        as the instance — do not linger on disk)."""
         with self.connection:
-            for relation in lsql.relations:
-                for name in (
-                    anc_table(relation),
-                    anc_delta_table(relation),
-                    anc_cand_table(relation),
-                    anc_new_table(relation),
-                ):
-                    self.connection.execute(f"DELETE FROM {_q(name)}")
-            for rule in lsql.rules:
+            for relation in relations:
+                for stage in stages:
+                    self.connection.execute(
+                        f"DELETE FROM {_q(stage(relation))}"
+                    )
+            for rule in rules:
                 self.connection.execute(f"DELETE FROM {_q(rule.firing_table)}")
 
-    def reset_derivability(self, dsql: DerivabilitySQL) -> None:
-        """Clear every deletion-propagation work table (before a run,
-        and again after it so the live sets — as large as the surviving
-        instance — do not linger on disk)."""
-        with self.connection:
-            for relation in dsql.relations:
-                for name in (
-                    live_table(relation),
-                    live_delta_table(relation),
-                    live_cand_table(relation),
-                    live_new_table(relation),
-                ):
-                    self.connection.execute(f"DELETE FROM {_q(name)}")
-            for rule in dsql.rules:
-                self.connection.execute(f"DELETE FROM {_q(rule.firing_table)}")
-            for _name, _pm_table, live_pm, _columns in dsql.pm_tables:
-                self.connection.execute(f"DELETE FROM {_q(live_pm)}")
+    def promote_round(
+        self,
+        stages: "tuple[Callable[[str], str], ...]",
+        stage_sql: TMapping[str, str],
+        relations: Iterable[str],
+    ) -> dict[str, int]:
+        """Round end of a semi-naive loop (exchange or an unindexed
+        walk): empty every relation's delta, stage each *stage_sql*
+        relation's fresh candidates, and promote them into its
+        accumulated set and next delta.  *stages* are the (set, delta,
+        candidate, new) table-name functions.  Returns the per-relation
+        sizes of the next delta."""
+        conn = self.connection
+        accumulated, delta, cand, new = stages
+        for relation in relations:
+            conn.execute(f"DELETE FROM {_q(delta(relation))}")
+        counts: dict[str, int] = {}
+        for relation, sql in stage_sql.items():
+            conn.execute(sql)
+            fresh = self.count(new(relation))
+            if fresh:
+                for table in (accumulated(relation), delta(relation)):
+                    conn.execute(
+                        f"INSERT INTO {_q(table)} "
+                        f"SELECT * FROM {_q(new(relation))}"
+                    )
+                conn.execute(f"DELETE FROM {_q(new(relation))}")
+                counts[relation] = fresh
+            conn.execute(f"DELETE FROM {_q(cand(relation))}")
+        return counts
 
     # -- per-run state ------------------------------------------------------
 
@@ -542,13 +505,15 @@ class ExchangeStore:
                     continue
                 appended = instance.changes_since(name, self._marks.get(name))
                 if appended is None:
-                    self.connection.execute(f"DELETE FROM {_q(name)}")
+                    dropped = self.connection.execute(
+                        f"DELETE FROM {_q(name)}"
+                    ).rowcount
                     appended = sorted(instance[name], key=repr)
                     new_counts[name] = len(appended)
                     # The full reload renumbers the relation's rowids,
                     # invalidating every node id the reachability index
                     # may hold for it.
-                    self.reach_index.note_renumbered()
+                    self.reach_index.note_renumbered(dropped=dropped > 0)
                 elif name in self._row_counts:
                     new_counts[name] = self._row_counts[name] + len(appended)
                 if appended:
@@ -660,8 +625,11 @@ class ExchangeStore:
                 f"DELETE FROM {_q(schema.name)} WHERE {condition}",
                 encoded,
             )
-            if cursor.rowcount > 0 and rowid is not None:
-                index.on_row_deleted(schema.name, rowid)
+            if cursor.rowcount > 0:
+                if rowid is not None:
+                    index.on_row_deleted(schema.name, rowid)
+                else:
+                    index.note_unmaintained_delete()
         removed = max(cursor.rowcount, 0)
         if removed:
             self.note_rows_removed(schema.name, removed)
@@ -811,7 +779,7 @@ class SQLiteExchangeEngine:
             # rebuild.
             if program.reach is None:
                 program.reach = lower_reach_program(
-                    program.compiled, catalog, self.store.codec
+                    program.compiled, catalog, self.store.codec, mappings
                 )
             index = self.store.reach_index
             index.ensure_schema(program.reach)
@@ -940,32 +908,15 @@ class SQLiteExchangeEngine:
                                 rule.provenance_insert.sql,
                                 {**rule.provenance_insert.params, **runtime},
                             )
-                    new_counts: dict[str, int] = {}
-                    for relation in sql.relations:
-                        conn.execute(stage_sql[relation])
-                        fresh = self.store.count(new_table(relation))
-                        conn.execute(
-                            f"DELETE FROM {_q(delta_table(relation))}"
+                    new_counts = self.store.promote_round(
+                        EXCHANGE_STAGES, stage_sql, sql.relations
+                    )
+                    for relation, fresh in new_counts.items():
+                        rel_counts[relation] = (
+                            rel_counts.get(relation, 0) + fresh
                         )
-                        if fresh:
-                            conn.execute(
-                                f"INSERT INTO {_q(relation)} "
-                                f"SELECT * FROM {_q(new_table(relation))}"
-                            )
-                            conn.execute(
-                                f"INSERT INTO {_q(delta_table(relation))} "
-                                f"SELECT * FROM {_q(new_table(relation))}"
-                            )
-                            conn.execute(
-                                f"DELETE FROM {_q(new_table(relation))}"
-                            )
-                            new_counts[relation] = fresh
-                            rel_counts[relation] = (
-                                rel_counts.get(relation, 0) + fresh
-                            )
-                            self.store.note_rows_added(relation, fresh)
-                            published += fresh
-                        conn.execute(f"DELETE FROM {_q(cand_table(relation))}")
+                        self.store.note_rows_added(relation, fresh)
+                        published += fresh
                     pspan.set(
                         "inserted", sum(new_counts.values())
                     )
@@ -996,67 +947,64 @@ class SQLiteExchangeEngine:
         instance: Instance,
         max_iterations: int | None = None,
     ) -> EvaluationResult:
-        """Relational deletion propagation (Q5) inside the store.
+        """Resident deletion propagation (Q5) over the reachability
+        index, after victims left the ``R_l`` tables
+        (:meth:`ExchangeStore.delete_relation_row` recorded the heads
+        of their fires as suspects).  One transaction stages the dead
+        cone (:meth:`ReachabilityIndex.begin_prune`) and kills it
+        (:meth:`ReachabilityIndex.finish_prune`): work proportional to
+        the cone, not the instance — see ``docs/graph-index.md``.
 
-        Runs after deletion victims were removed from the ``R_l``
-        tables (:meth:`ExchangeStore.delete_relation_row` /
-        :meth:`ExchangeStore.sync_instance`): an iterative SQL fixpoint
-        re-runs the DERIVABILITY test over the firing history — every
-        relation's *live* set grows semi-naively from the surviving
-        EDB leaves through the rule bodies, so a tuple is killed
-        exactly when every firing producing it has a killed antecedent
-        (and, because liveness is the *least* fixpoint, cyclically
-        self-supporting derivations with no surviving base die too,
-        matching the graph engine's Kleene iteration).  Unsupported
-        rows are then deleted set-at-a-time and the dead ``P_m`` rows
-        garbage-collected, so the firing history stops retaining
-        graph-collected derivations.
-
-        Returns an :class:`EvaluationResult` with ``rows_deleted`` /
-        ``pm_rows_collected`` / ``iterations`` filled in.  Nothing is
-        materialized in Python — the working set stays out-of-core.
+        Returns an :class:`EvaluationResult` with ``rows_deleted``,
+        ``pm_rows_collected``, ``iterations`` (kernel rounds) and
+        ``pm_rows_scanned`` (fires visited) filled in.
         """
         if program.sql is None:
             program.sql = lower_program(
                 program.compiled, catalog, mappings, self.store.codec
             )
-        if program.derivability is None:
-            program.derivability = lower_derivability_program(
-                program.compiled, catalog, mappings, self.store.codec
+        if program.reach is None:
+            program.reach = lower_reach_program(
+                program.compiled, catalog, self.store.codec, mappings
             )
-        dsql = program.derivability
+        rsql = program.reach
+        if any(is_local_name(r) for r in rsql.derived_relations):
+            raise ExchangeError(
+                "a rule derives into a local-contribution relation; "
+                "deletion propagation treats local relations as EDB "
+                "leaves — rewrite the mapping to target the public relation"
+            )
         self.store.ensure_schema(
             catalog, mappings, program.sql, program.fingerprint
         )
-        self.store.ensure_derivability_schema(catalog, dsql)
-        self.store.reset_derivability(dsql)
-        try:
-            return self._propagate_over_live_tables(
-                dsql, catalog, instance, max_iterations
-            )
-        finally:
-            # Win or lose, the live sets — as large as the surviving
-            # instance — must not linger on disk.
-            self.store.reset_derivability(dsql)
-
-    def _propagate_over_live_tables(
-        self,
-        dsql: DerivabilitySQL,
-        catalog: Catalog,
-        instance: Instance,
-        max_iterations: int | None,
-    ) -> EvaluationResult:
-        conn = self.store.connection
+        index = self.store.reach_index
+        index.ensure_schema(rsql)
         tracer = self.tracer
+        conn = self.store.connection
         result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
-        # Bring the store's EDB up to date with the Python side (victim
-        # marking already shrank both).  Pending unexchanged local rows
-        # ride along and do seed the live set — but their derived
-        # consequences are discarded by the stage's stored-row filter
-        # (an unexchanged row's heads are not in the relation tables),
-        # so, like the graph engine's unrecorded firings, they can
-        # neither resurrect a dying tuple nor leak into the P_m
-        # projections.
+        try:
+            with conn:
+                with tracer.span("deletion.cone") as cspan:
+                    cone = index.begin_prune(rsql, max_iterations, tracer)
+                    cspan.set("suspects", cone.suspects).set(
+                        "cone", cone.cone
+                    ).set("dead", cone.dead).set("rounds", cone.rounds)
+                with tracer.span("deletion.kill") as kspan:
+                    removed_counts, pm_collected = index.finish_prune(
+                        rsql, cone.whole, tracer
+                    )
+                    kspan.set(
+                        "rows_deleted", sum(removed_counts.values())
+                    ).set("pm_rows_collected", pm_collected)
+        finally:
+            index.reset_temp_state()
+        # The count cache moves only after the kill transaction commits
+        # (a rollback must leave it describing the uncut tables).
+        for relation, removed in removed_counts.items():
+            self.store.note_rows_removed(relation, removed)
+        # Only now ship unexchanged local rows: like the graph engine's
+        # unrecorded firings, they support nothing in this propagation
+        # (victim marking already shrank both sides).
         with tracer.span("exchange.mirror") as mspan:
             result.rows_mirrored, result.relations_synced = (
                 self.store.sync_instance(instance, resident=True)
@@ -1064,67 +1012,9 @@ class SQLiteExchangeEngine:
             mspan.set("rows", result.rows_mirrored).set(
                 "relations", result.relations_synced
             )
-
-        with tracer.span("deletion.fixpoint") as fspan:
-            delta_counts: dict[str, int] = {}
-            with conn:
-                for relation in dsql.edb_relations:
-                    conn.execute(
-                        f"INSERT INTO {_q(live_table(relation))} "
-                        f"SELECT * FROM {_q(relation)}"
-                    )
-                    conn.execute(
-                        f"INSERT INTO {_q(live_delta_table(relation))} "
-                        f"SELECT * FROM {_q(relation)}"
-                    )
-                    count = self.store.cached_count(relation)
-                    if count:
-                        delta_counts[relation] = count
-            # The loop itself is shared with the derivability/trusted
-            # graph queries (they seed differently but grow the same
-            # live sets).
-            result.iterations, result.pm_rows_scanned = run_liveness_fixpoint(
-                self.store, dsql, catalog, delta_counts, max_iterations,
-                tracer=tracer,
-            )
-            fspan.set("rounds", result.iterations).set(
-                "firings", result.pm_rows_scanned
-            )
-
-        # Kill phase, one transaction: unsupported rows die, dead P_m
-        # firing-history rows are garbage-collected alongside.
-        pm_collected = 0
-        removed_counts: dict[str, int] = {}
-        index = self.store.reach_index
-        prune = index.current
-        with tracer.span("deletion.kill") as kspan, conn:
-            if prune:
-                # Capture the dying derived rows (by node id) while
-                # they are still present; the index prunes exactly
-                # their incident fires after the sweeps — or marks
-                # itself stale when the cone is too large.  Leaf
-                # victims were already cleaned per-delete.
-                index.begin_prune(dsql.derived_relations, catalog)
-            for relation in dsql.derived_relations:
-                cursor = conn.execute(kill_sql(catalog, relation))
-                removed = max(cursor.rowcount, 0)
-                if removed:
-                    removed_counts[relation] = removed
-            for _name, pm_table, live_pm, columns in dsql.pm_tables:
-                cursor = conn.execute(pm_gc_sql(pm_table, live_pm, columns))
-                pm_collected += max(cursor.rowcount, 0)
-            if prune:
-                index.finish_prune(tracer)
-            kspan.set(
-                "rows_deleted", sum(removed_counts.values())
-            ).set("pm_rows_collected", pm_collected)
-        # The count cache moves only after the kill transaction commits
-        # (a rollback must leave it describing the uncut tables).
-        rows_deleted = 0
-        for relation, removed in removed_counts.items():
-            rows_deleted += removed
-            self.store.note_rows_removed(relation, removed)
-        result.rows_deleted = rows_deleted
+        result.iterations = cone.rounds
+        result.pm_rows_scanned = cone.fires_visited
+        result.rows_deleted = sum(removed_counts.values())
         result.pm_rows_collected = pm_collected
         return result
 

@@ -30,23 +30,21 @@ semantics match the Python engine's ``==`` on rows that may contain
 ``None``.  Statements use named parameters: compile-time constants bind
 ``:p<N>``; the per-round firing-table watermark binds ``:wm``.
 
-**Deletion propagation** (the paper's Q5) gets its own lowering: after
-local victims are removed from the store's ``R_l`` tables,
-:func:`lower_derivability_program` re-runs the DERIVABILITY test
-*relationally* — a semi-naive fixpoint over ``__live_*`` tables marks
-every tuple still derivable from the surviving EDB leaves (the least
-fixpoint, so cyclically self-supporting tuples correctly die), after
-which one ``DELETE`` per relation kills the unsupported rows and one
-per ``P_m`` garbage-collects the firing-history rows whose every
-supporting derivation died.  Because the store holds an exchange
-fixpoint, re-joining *live* rows through the rule bodies enumerates
-exactly the historical firings whose antecedents all survive — the
-relational mirror of annotating the provenance graph with the
-DERIVABILITY semiring.
+**The unindexed DERIVABILITY test** (the paper's Q5) gets its own
+lowering: :func:`lower_derivability_program` runs it *relationally* —
+a semi-naive fixpoint over ``__live_*`` tables marks every tuple still
+derivable from the stored EDB leaves (the least fixpoint, so
+cyclically self-supporting tuples annotate false).  Because the store
+holds an exchange fixpoint, re-joining *live* rows through the rule
+bodies enumerates exactly the historical firings whose antecedents all
+survive — the relational mirror of annotating the provenance graph
+with the DERIVABILITY semiring.  It backs the ``use_index=False``
+graph queries; deletion propagation runs on the reachability index
+(:mod:`repro.exchange.reach_index`).
 
 **Graph queries** (:mod:`repro.exchange.graph_queries`) reuse both
-shapes: ``derivability``/``trusted`` re-run the same liveness fixpoint
-with query-specific seeds and rule sets, while ``lineage`` walks the
+shapes: ``derivability``/``trusted`` run the liveness fixpoint with
+query-specific seeds and rule sets, while ``lineage`` walks the
 firing history *backwards* — :class:`HeadProbe` restricts each plan's
 firing enumeration to firings producing a row already known to be an
 ancestor (``__adelta_*``), and ``dedup`` keeps the per-rule
@@ -79,16 +77,14 @@ DELTA_PREFIX = "__delta_"
 NEW_PREFIX = "__new_"
 CAND_PREFIX = "__cand_"
 FIRED_PREFIX = "__fired_"
-#: table-name prefixes of the derivability (deletion-propagation)
-#: working tables: the set of live (still-derivable) rows per relation,
-#: its semi-naive delta/candidate/new stages, the live firings per
-#: rule, and the surviving P_m projection per mapping.
+#: table-name prefixes of the unindexed derivability working tables:
+#: the set of live (still-derivable) rows per relation, its semi-naive
+#: delta/candidate/new stages, and the live firings per rule.
 LIVE_PREFIX = "__live_"
 LIVE_DELTA_PREFIX = "__ldelta_"
 LIVE_CAND_PREFIX = "__lcand_"
 LIVE_NEW_PREFIX = "__lnew_"
 LIVE_FIRED_PREFIX = "__lfired_"
-LIVE_PM_PREFIX = "__lpm_"
 #: table-name prefixes of the lineage (graph-query) working tables:
 #: the per-relation ancestor closure being grown by the backward walk,
 #: its delta/candidate/new stages, and the per-rule table of firings
@@ -140,10 +136,6 @@ def live_fired_table(rule_name: str) -> str:
     return LIVE_FIRED_PREFIX + rule_name
 
 
-def live_pm_table(mapping_name: str) -> str:
-    return LIVE_PM_PREFIX + mapping_name
-
-
 def anc_table(relation: str) -> str:
     return ANC_PREFIX + relation
 
@@ -162,6 +154,12 @@ def anc_new_table(relation: str) -> str:
 
 def query_fired_table(rule_name: str) -> str:
     return QUERY_FIRED_PREFIX + rule_name
+
+
+#: per-relation work tables of the unindexed liveness fixpoint and
+#: lineage walk, the accumulated set first.
+LIVE_STAGES = (live_table, live_delta_table, live_cand_table, live_new_table)
+ANC_STAGES = (anc_table, anc_delta_table, anc_cand_table, anc_new_table)
 
 
 def slot_column(slot: int) -> str:
@@ -506,14 +504,11 @@ def _lower_head_insert(
 def _lower_provenance_insert(
     crule: CompiledRule,
     mapping: SchemaMapping,
-    codec: ValueCodec,
-    target: str | None = None,
-    fired: str | None = None,
 ) -> Statement | None:
     if mapping.is_superfluous or not mapping.provenance_columns:
         return None
     slot_of = _assign_slots(crule.rule)
-    table = target or provenance_relation_name(mapping.name)
+    table = provenance_relation_name(mapping.name)
     cols = []
     exprs = []
     for column in mapping.provenance_columns:
@@ -531,7 +526,7 @@ def _lower_provenance_insert(
     sql = (
         f"INSERT INTO {_q(table)} ({', '.join(cols)})\n"
         f"SELECT DISTINCT {', '.join(exprs)}\n"
-        f"FROM {_q(fired or fired_table(crule.rule.name))} AS f\n"
+        f"FROM {_q(fired_table(crule.rule.name))} AS f\n"
         f"WHERE f.rowid > :wm\n"
         f"AND NOT EXISTS (SELECT 1 FROM {_q(table)} AS p WHERE {dedup})"
     )
@@ -571,7 +566,7 @@ def lower_rule(
     )
     mapping = mappings.get(crule.rule.name)
     prov = (
-        _lower_provenance_insert(crule, mapping, codec) if mapping else None
+        _lower_provenance_insert(crule, mapping) if mapping else None
     )
     slot_of = _assign_slots(crule.rule)
     body_extractors = tuple(
@@ -616,7 +611,7 @@ def lower_program(
     return ProgramSQL(rules, tuple(relations), tuple(sorted(indexes)))
 
 
-# -- deletion propagation (derivability over P_m, Q5) -----------------------
+# -- unindexed derivability (liveness over the stored relations, Q5) ---------
 
 
 @dataclass(frozen=True)
@@ -638,20 +633,16 @@ class DerivabilityRuleSQL:
     plans: tuple[DerivabilityPlanSQL, ...]
     #: fresh live firings -> ``__lcand_<relation>`` per head atom.
     head_inserts: tuple[Statement, ...]
-    #: fresh live firings -> surviving ``P_m`` projection (None for
-    #: non-mappings / superfluous mappings).
-    pm_insert: Statement | None
 
 
 @dataclass(frozen=True)
 class DerivabilitySQL:
     """SQL lowering of the relational DERIVABILITY test.
 
-    A tuple is live iff it is an EDB (local-contribution) row that
-    survived the victim marking, or some firing over live rows produces
-    it *and* the tuple is still stored — the least fixpoint of the
-    DERIVABILITY semiring over the firing history, computed without
-    materializing anything in Python.
+    A tuple is live iff it is a seeded EDB (local-contribution) row,
+    or some firing over live rows produces it *and* the tuple is
+    stored — the least fixpoint of the DERIVABILITY semiring over the
+    firing history, computed without materializing anything in Python.
     """
 
     rules: tuple[DerivabilityRuleSQL, ...]
@@ -661,12 +652,8 @@ class DerivabilitySQL:
     #: the local-contribution tables; their firings are the paper's
     #: "EDB-insertion firings", which keep their tuples alive).
     edb_relations: tuple[str, ...]
-    #: head relations: only these can gain live rows per round, and
-    #: only these are swept for unsupported victims afterwards.
+    #: head relations: only these can gain live rows per round.
     derived_relations: tuple[str, ...]
-    #: per materialized provenance relation:
-    #: (mapping name, P_m table, live-projection table, columns).
-    pm_tables: tuple[tuple[str, str, str, tuple[str, ...]], ...]
 
 
 def stage_live_sql(catalog: Catalog, relation: str) -> str:
@@ -702,33 +689,9 @@ def stage_ancestor_sql(catalog: Catalog, relation: str) -> str:
     )
 
 
-def kill_sql(catalog: Catalog, relation: str) -> str:
-    """Delete *relation*'s rows with no support among the live set."""
-    match = " AND ".join(
-        f'l.{_q(c)} IS {_q(relation)}.{_q(c)}'
-        for c in _columns(catalog, relation)
-    )
-    return (
-        f"DELETE FROM {_q(relation)} WHERE NOT EXISTS "
-        f"(SELECT 1 FROM {_q(live_table(relation))} AS l WHERE {match})"
-    )
-
-
-def pm_gc_sql(pm_table: str, live_pm: str, columns: Sequence[str]) -> str:
-    """Garbage-collect ``P_m`` rows whose firing is no longer live."""
-    match = " AND ".join(
-        f'l.{_q(c)} IS {_q(pm_table)}.{_q(c)}' for c in columns
-    )
-    return (
-        f"DELETE FROM {_q(pm_table)} WHERE NOT EXISTS "
-        f"(SELECT 1 FROM {_q(live_pm)} AS l WHERE {match})"
-    )
-
-
 def _lower_derivability_rule(
     crule: CompiledRule,
     catalog: Catalog,
-    mappings: Mapping[str, SchemaMapping],
     codec: ValueCodec,
 ) -> DerivabilityRuleSQL:
     if not crule.plans:
@@ -770,23 +733,14 @@ def _lower_derivability_rule(
         )
         for relation, extractors in crule.head
     )
-    mapping = mappings.get(name)
-    pm_insert = (
-        _lower_provenance_insert(
-            crule, mapping, codec, target=live_pm_table(name), fired=fired
-        )
-        if mapping
-        else None
-    )
     return DerivabilityRuleSQL(
-        name, crule.num_slots, fired, tuple(plans), head_inserts, pm_insert
+        name, crule.num_slots, fired, tuple(plans), head_inserts
     )
 
 
 def lower_derivability_program(
     compiled: Sequence[CompiledRule],
     catalog: Catalog,
-    mappings: Mapping[str, SchemaMapping],
     codec: ValueCodec,
 ) -> DerivabilitySQL:
     """Lower the whole program's DERIVABILITY test.
@@ -813,30 +767,11 @@ def lower_derivability_program(
                     "relation"
                 )
     rules = tuple(
-        _lower_derivability_rule(crule, catalog, mappings, codec)
-        for crule in compiled
+        _lower_derivability_rule(crule, catalog, codec) for crule in compiled
     )
-    pm_tables = []
-    for name in {crule.rule.name for crule in compiled}:
-        mapping = mappings.get(name)
-        if (
-            mapping is None
-            or mapping.is_superfluous
-            or not mapping.provenance_columns
-        ):
-            continue
-        pm_tables.append(
-            (
-                name,
-                provenance_relation_name(name),
-                live_pm_table(name),
-                tuple(c.name for c in mapping.provenance_columns),
-            )
-        )
     return DerivabilitySQL(
         rules,
         tuple(relations),
         tuple(r for r in relations if r not in heads),
         tuple(r for r in relations if r in heads),
-        tuple(sorted(pm_tables)),
     )

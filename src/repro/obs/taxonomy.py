@@ -30,16 +30,16 @@ SPANS: dict[str, str] = {
     # -- deletion propagation ----------------------------------------------
     "deletion": "One CDSS.propagate_deletions call (attrs: engine).",
     "deletion.annotate": "Derivability annotation of the in-memory graph.",
-    "deletion.fixpoint": "SQL liveness fixpoint over the lowered program.",
-    "deletion.kill": "Kill sweep: delete unsupported rows and dead P_m rows.",
-    "fixpoint.round": "One round of the shared SQL liveness fixpoint (attrs: round, firings).",
+    "deletion.cone": "Resident propagation: stage the dead cone and run the index liveness kernel inside it (attrs: suspects, cone, dead, rounds).",
+    "deletion.kill": "Kill transaction: delete dead rows by rowid, collect dead P_m rows, prune dead fires (attrs: rows_deleted, pm_rows_collected).",
+    "fixpoint.round": "One round of the unindexed SQL liveness fixpoint behind use_index=False queries (attrs: round, firings).",
     # -- graph queries ------------------------------------------------------
     "graph_query": "One CDSS.{derivability,lineage,trusted} call (attrs: query, engine).",
     "walk.round": "One backward-walk round of the resident lineage query (attrs: round).",
     # -- maintained reachability index ---------------------------------------
     "index.maintain": "Post-run maintenance of the reachability index (attrs: mode, fires).",
     "index.invalidate": "Deletion cone exceeded the threshold: index marked stale (attrs: dead, fires).",
-    "index.rebuild": "Query-time index rebuild from the stored firing history (attrs: fires).",
+    "index.rebuild": "Index rebuild from the stored firing history at query or propagation time (attrs: fires).",
     # -- concurrent serving --------------------------------------------------
     "serve.query": "One read-only reader answer (attrs: kind, epoch, cache_hit, path).",
     "serve.checkpoint": "Writer WAL checkpoint under checkpoint_with_retry (attrs: mode, busy, retries).",

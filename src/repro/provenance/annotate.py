@@ -198,9 +198,10 @@ def derivability_partition(
 
     This single definition is the deletion-propagation semantics both
     engines implement: the memory engine applies it to the provenance
-    graph directly, and the SQLite engine's relational fixpoint
+    graph directly, and the SQLite engine's resident propagation
     (:meth:`repro.exchange.sql_executor.SQLiteExchangeEngine.propagate_deletions`)
-    computes the same least fixpoint over the stored firing history.
+    computes the same least fixpoint over the stored firing history's
+    reachability index, restricted to the dead cone.
     """
     from repro.semirings.registry import get_semiring
 

@@ -1045,11 +1045,11 @@ class TestDeletionStats:
         assert len(store.relation_rows(resident.catalog["D"])) == 1
 
     def test_aborted_propagate_clears_work_tables(self, tmp_path):
-        # An error mid-fixpoint must not leave the instance-sized
-        # __live_* work tables populated on disk (resident stores exist
-        # precisely for working sets that dwarf memory).
+        # An error mid-kernel must roll the kill transaction back: the
+        # cone work tables end empty, the persisted suspect set stays
+        # (so a retry still knows what to test), and nothing was cut.
         from repro.errors import EvaluationError
-        from repro.exchange.sql_plans import live_table
+        from repro.exchange.reach_index import SUSPECT_TABLE
 
         memory, resident = build_resident_deletion_pair(tmp_path)
         for system in (memory, resident):
@@ -1065,8 +1065,9 @@ class TestDeletionStats:
                 resident.instance,
                 max_iterations=0,
             )
-        for relation in program.derivability.relations:
-            assert store.count(live_table(relation)) == 0, relation
+        for table in ("__rq_cone", "__rq_live", "__rq_dead", "__rq_deadfid"):
+            assert store.count(table) == 0, table
+        assert store.count(SUSPECT_TABLE) > 0
         # The store is undamaged: a retry converges to the memory twin.
         assert resident.propagate_deletions() == memory.propagate_deletions()
         for schema in resident.catalog:

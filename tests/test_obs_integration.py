@@ -182,8 +182,14 @@ class TestResidentTracing:
         records = sink.records()
         assert validate_trace(records) == []
         names = {r["name"] for r in records}
-        assert {"exchange.statement", "exchange.sqlite", "deletion.fixpoint",
-                "deletion.kill", "fixpoint.round", "index.maintain"} <= names
+        assert {"exchange.statement", "exchange.sqlite", "deletion.cone",
+                "deletion.kill", "index.maintain"} <= names
+        # Propagation runs the index kernel inside the dead cone; no
+        # whole-instance relational fixpoint runs anywhere.
+        assert not {"deletion.fixpoint", "fixpoint.round"} & names
+        (cone,) = [r for r in records if r["name"] == "deletion.cone"]
+        assert set(cone["attrs"]) >= {"suspects", "cone", "dead", "rounds"}
+        assert 0 < cone["attrs"]["dead"] <= cone["attrs"]["cone"]
         # The indexed lineage answers without a backward walk.
         assert "walk.round" not in names
         statements = [r for r in records if r["name"] == "exchange.statement"]

@@ -12,7 +12,10 @@ the parent:
   exchange heals the store (full re-seed, index rebuilt);
 * killed inside the deletion kill transaction → SQLite rolls the
   transaction back, so readers still serve the exact pre-propagation
-  state, and a reopened writer completes the propagation.
+  state, and a reopened writer completes the propagation;
+* SIGKILLed after the dead cone is staged and its rows are cut, before
+  the kill transaction commits → the same rollback, with the persisted
+  deletion suspects intact for the re-run.
 """
 
 import os
@@ -23,6 +26,8 @@ import textwrap
 import pytest
 
 from repro.errors import ServeUnavailable
+from repro.exchange.reach_index import SUSPECT_TABLE
+from repro.exchange.sql_executor import ExchangeStore
 from repro.provenance.graph import TupleNode
 from repro.serve import BackoffPolicy, ReaderSession
 
@@ -124,8 +129,8 @@ class TestWriterKilledMidPropagation:
             system = build_example()
             system.exchange(engine="sqlite", storage=path, resident=True)
             assert system.delete_local("C", (2, "cn2"))
-            # Die inside the deletion kill transaction, after the
-            # sweeps and mid-prune — nothing of it may survive.
+            # Die inside the deletion kill transaction, as the kill
+            # begins — nothing of it may survive.
             ReachabilityIndex.finish_prune = (
                 lambda *a, **k: os._exit(23)
             )
@@ -167,3 +172,59 @@ class TestWriterKilledMidPropagation:
                 if not derivable:
                     continue
                 assert reader.lineage(node) == twin.lineage(node)
+
+    def test_sigkill_after_cone_staged_keeps_suspects(
+        self, tmp_path, tests_dir
+    ):
+        path = str(tmp_path / "cone.db")
+        proc = _run_child(
+            """
+            import signal
+            system = build_example()
+            system.exchange(engine="sqlite", storage=path, resident=True)
+            assert system.delete_local("C", (2, "cn2"))
+            # The cone is staged and the dead rows and P_m rows are cut
+            # (uncommitted) when the dead fires are pruned: die there.
+            ReachabilityIndex._delete_dead_fires = (
+                lambda self: os.kill(os.getpid(), signal.SIGKILL)
+            )
+            system.propagate_deletions()
+            os._exit(1)  # unreachable
+            """,
+            path,
+            tests_dir,
+        )
+        assert proc.returncode == -9, proc.stderr
+
+        # Readers serve exactly the pre-kill state of a resident twin
+        # that deleted but never propagated.
+        twin = build_example()
+        twin.exchange(
+            engine="sqlite", storage=str(tmp_path / "twin.db"), resident=True
+        )
+        assert twin.delete_local("C", (2, "cn2"))
+        with ReaderSession(path, build_example().catalog) as reader:
+            assert reader.derivability() == twin.derivability()
+            assert reader.last_read.retries == 0
+        with ExchangeStore(path) as store:
+            assert store.count(SUSPECT_TABLE) > 0
+            assert store.meta_get("index_state") == "current"
+
+        # A reopened writer re-runs the propagation and reaches the
+        # memory twin's state.
+        memory = build_example()
+        memory.exchange()
+        memory.delete_local("C", (2, "cn2"))
+        memory.propagate_deletions()
+        healed = build_example()
+        healed.delete_local("C", (2, "cn2"))
+        healed.exchange(engine="sqlite", storage=path, resident=True)
+        healed.propagate_deletions()
+        store = healed.exchange_store
+        for schema in healed.catalog:
+            assert store.relation_rows(schema) == set(
+                memory.instance[schema.name]
+            ), schema.name
+        assert store.count(SUSPECT_TABLE) == 0
+        with ReaderSession(path, healed.catalog) as reader:
+            assert reader.derivability() == memory.derivability()
