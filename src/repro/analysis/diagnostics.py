@@ -44,8 +44,8 @@ CODES: dict[str, tuple[str, str]] = {
     "RA302": (ERROR, "trust policy distrusts an unknown mapping"),
     "RA303": (WARNING, "trust condition shadowed by a public-name condition"),
     "RA401": (ERROR, "exchange lowering failed EXPLAIN"),
-    "RA402": (ERROR, "derivability lowering failed EXPLAIN"),
-    "RA403": (ERROR, "graph-query lowering failed EXPLAIN"),
+    "RA402": (ERROR, "deletion-propagation lowering failed EXPLAIN"),
+    "RA403": (ERROR, "reachability-index lowering failed EXPLAIN"),
     "RA404": (WARNING, "rule outside the SQL-compilable fragment"),
     "RA501": (WARNING, "statically empty path (relation unreachable from spec)"),
     "RA502": (ERROR, "unsatisfiable WHERE condition"),

@@ -6,8 +6,11 @@ agree on every table, column, and parameter name.  That contract is
 normally only exercised at exchange time — hours into a run for the
 workloads ROADMAP targets.  This pass exercises it at analysis time:
 
-* lower the program all three ways (exchange, derivability — with
-  the resident kill path's ``P_m`` collectors — and graph-query),
+* lower the program both ways the sqlite engine runs it: the exchange
+  plans, and the reachability-index maintenance every resident
+  exchange runs (plus the deletion kill path's ``P_m`` collectors and
+  the leaf-model check that resident graph queries and deletion
+  propagation share),
 * create the schema in a **schema-only** store (no data is ever
   written — ``ensure_*`` builds empty tables), and
 * run ``EXPLAIN`` over every generated statement with its parameters
@@ -86,7 +89,7 @@ def lowering_pass(
     mappings: Mapping[str, SchemaMapping],
     store: "ExchangeStore | None" = None,
 ) -> tuple[list[Diagnostic], dict[str, int]]:
-    """Dry-run all three SQL lowerings of *program* through EXPLAIN.
+    """Dry-run both SQL lowerings of *program* through EXPLAIN.
 
     ``store`` defaults to a throwaway in-memory
     :class:`~repro.exchange.sql_executor.ExchangeStore`; pass an
@@ -96,16 +99,7 @@ def lowering_pass(
     written.
     """
     from repro.exchange.sql_executor import ExchangeStore
-    from repro.exchange.sql_plans import (
-        ANC_STAGES,
-        LIVE_STAGES,
-        lower_derivability_program,
-        lower_program,
-        stage_ancestor_sql,
-        stage_live_sql,
-        stage_new_sql,
-    )
-    from repro.exchange.graph_queries import lower_lineage_program
+    from repro.exchange.sql_plans import lower_program, stage_new_sql
     from repro.exchange.reach_index import lower_reach_program
 
     diagnostics: list[Diagnostic] = []
@@ -166,82 +160,35 @@ def lowering_pass(
                     relation,
                     diagnostics,
                 )
-        # -- derivability lowering (RA402) ----------------------------
+        # -- deletion propagation (RA402) -----------------------------
+        rsql = lower_reach_program(compilable, catalog, codec, mappings)
         try:
-            dsql = lower_derivability_program(compilable, catalog, codec)
+            rsql.check_local_leaves()
         except ExchangeError as exc:
-            dsql = None
             diagnostics.append(
                 Diagnostic("RA402", str(exc), subject="derivability")
             )
-        if dsql is not None:
-            the_store.ensure_work_tables(
-                catalog, dsql.relations, LIVE_STAGES, dsql.rules
-            )
-            for drule in dsql.rules:
-                subject = drule.rule_name
-                for dplan in drule.plans:
+        if psql is not None:
+            # The kill path's P_m collectors and the index maintenance
+            # join the reachability index tables (created empty here).
+            the_store.reach_index.ensure_tables()
+            for pm in rsql.pm_collect:
+                for statement in (pm.dead, pm.whole):
                     explained += _explain_statement(
-                        the_store, dplan.statement, "RA402", subject, diagnostics
+                        the_store, statement, "RA402", pm.rule_name,
+                        diagnostics,
                     )
-                for insert in drule.head_inserts:
+            # -- reachability-index lowering (RA403) ------------------
+            for reach_rule in rsql.rules:
+                subject = reach_rule.rule_name
+                statements = [reach_rule.enumerate_all]
+                for head in reach_rule.heads:
+                    statements.append(head.fire_insert)
+                    statements.extend(stmt for _rel, stmt in head.body_inserts)
+                for statement in statements:
                     explained += _explain_statement(
-                        the_store, insert, "RA402", subject, diagnostics
+                        the_store, statement, "RA403", subject, diagnostics
                     )
-            for relation in dsql.relations:
-                explained += _explain(
-                    the_store,
-                    stage_live_sql(catalog, relation),
-                    {},
-                    (),
-                    "RA402",
-                    relation,
-                    diagnostics,
-                )
-            if psql is not None:
-                # The resident kill path's P_m collectors join the
-                # reachability index tables (created empty here).
-                rsql = lower_reach_program(compilable, catalog, codec, mappings)
-                the_store.reach_index.ensure_tables()
-                for pm in rsql.pm_collect:
-                    for statement in (pm.dead, pm.whole):
-                        explained += _explain_statement(
-                            the_store, statement, "RA402", pm.rule_name,
-                            diagnostics,
-                        )
-        # -- graph-query lowering (RA403) -----------------------------
-        try:
-            lsql = lower_lineage_program(compilable, catalog, codec)
-        except ExchangeError as exc:
-            lsql = None
-            diagnostics.append(
-                Diagnostic("RA403", str(exc), subject="graph-query")
-            )
-        if lsql is not None:
-            the_store.ensure_work_tables(
-                catalog, lsql.relations, ANC_STAGES, lsql.rules,
-                index_firings=True,
-            )
-            for lrule in lsql.rules:
-                subject = lrule.rule_name
-                for _head_relation, probe in lrule.head_probes:
-                    explained += _explain_statement(
-                        the_store, probe, "RA403", subject, diagnostics
-                    )
-                for insert in lrule.body_inserts:
-                    explained += _explain_statement(
-                        the_store, insert, "RA403", subject, diagnostics
-                    )
-            for relation in lsql.relations:
-                explained += _explain(
-                    the_store,
-                    stage_ancestor_sql(catalog, relation),
-                    {},
-                    (),
-                    "RA403",
-                    relation,
-                    diagnostics,
-                )
     finally:
         if own_store:
             the_store.close()

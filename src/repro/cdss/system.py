@@ -794,16 +794,17 @@ class CDSS:
     def derivability(self) -> dict[TupleNode, bool]:
         """Derivability annotation of every tuple (Q5).
 
-        **Resident mode**: answered relationally — the stored firing
-        history is annotated by a liveness fixpoint, with every stored
-        tuple's verdict read off its membership in the live set; no
-        :class:`ProvenanceGraph` is materialized.  When the store's
-        maintained reachability index is current the fixpoint runs over
-        the compact index tables (the kernel :meth:`propagate_deletions`
-        runs inside the dead cone) and repeat calls answer from a cached
-        verdict (``index_hit == 1`` on the stats); a stale index is
-        rebuilt once at query time (``index_miss == 1``), after which
-        it stays current until the next mutation.  Non-resident systems
+        **Resident mode**: answered relationally — the store's
+        maintained reachability index is annotated by its integer
+        liveness fixpoint (the kernel :meth:`propagate_deletions` runs
+        inside the dead cone), with every stored tuple's verdict read
+        off its membership in the live set; no :class:`ProvenanceGraph`
+        is materialized.  Repeat calls answer from a cached verdict
+        (``index_hit == 1`` on the stats); a stale index is rebuilt
+        once at query time (``index_miss == 1``), after which it stays
+        current until the next mutation.  A program with a mapping
+        into a local-contribution relation raises
+        :class:`~repro.errors.ExchangeError` here.  Non-resident systems
         annotate the in-memory graph.  Both engines answer over the
         state of the last exchange/propagation.
         """
@@ -817,16 +818,14 @@ class CDSS:
     def lineage(self, node: TupleNode) -> frozenset:
         """Set of local base tuples *node* derives from (Q6).
 
-        **Resident mode**: answered relationally — an iterative
-        backward transitive-closure walk over the stored firing
-        history's join columns
-        (:meth:`repro.exchange.graph_queries.StoreGraphQueries.lineage`);
-        no :class:`ProvenanceGraph` is materialized.  With a current
-        maintained reachability index the walk collapses to an indexed
-        ancestor-closure probe — an interval containment test when the
-        DAG is tree-shaped, one recursive CTE otherwise — reported as
-        ``index_hit == 1`` on the stats; a stale index is rebuilt once
-        at query time first (``index_miss == 1``).  Non-resident
+        **Resident mode**: answered relationally — an ancestor-closure
+        probe over the store's maintained reachability index
+        (:meth:`repro.exchange.graph_queries.StoreGraphQueries.lineage`):
+        an interval containment test when the DAG is tree-shaped, one
+        recursive CTE otherwise; no :class:`ProvenanceGraph` is
+        materialized.  A current index answers with ``index_hit == 1``
+        on the stats; a stale index is rebuilt once at query time
+        first (``index_miss == 1``).  Non-resident
         systems annotate *node*'s ancestor closure of the in-memory
         graph in the LINEAGE semiring.  Both raise :class:`KeyError`
         for a node the last exchange never derived.

@@ -159,14 +159,14 @@ class EvaluationResult:
     #: propagation (store rows for the sqlite engine, their graph-side
     #: projections for the memory engine — comparable counts).
     pm_rows_collected: int = 0
-    #: firing-history rows a relational graph query (or the deletion
-    #: propagation's liveness fixpoint) enumerated while traversing the
-    #: stored ``P_m`` join columns; 0 on the memory engine, whose graph
-    #: walks count nothing relational.
+    #: firing-history rows a store-side graph query (or the deletion
+    #: propagation's liveness kernel) visited in the reachability
+    #: index; 0 on the memory engine, whose graph walks count nothing
+    #: relational.
     pm_rows_scanned: int = 0
     #: 1 when a resident graph query was answered from the *maintained*
     #: reachability index (``docs/graph-index.md``) without a rebuild;
-    #: 0 for the memory engine and for unindexed store queries.
+    #: 0 for the memory engine and for queries that rebuilt it.
     #: Distinct from :attr:`index_hits` (the memory engine's hash-index
     #: probe counter).
     index_hit: int = 0

@@ -36,9 +36,8 @@ from repro.datalog.planner import CompiledRule, compile_program
 from repro.datalog.rules import Program, Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exchange.graph_queries import LineageSQL
     from repro.exchange.reach_index import ReachSQL
-    from repro.exchange.sql_plans import DerivabilitySQL, ProgramSQL
+    from repro.exchange.sql_plans import ProgramSQL
 
 
 def program_fingerprint(program: Program | Iterable[Rule]) -> str:
@@ -71,16 +70,9 @@ class CompiledExchangeProgram:
     #: SQL lowering, attached lazily by the SQLite engine so a
     #: memory-only workload never pays for it.
     sql: "ProgramSQL | None" = field(default=None, repr=False)
-    #: SQL lowering of the relational DERIVABILITY test, attached
-    #: lazily by the first unindexed (``use_index=False``)
-    #: ``derivability``/``trusted`` graph query.
-    derivability: "DerivabilitySQL | None" = field(default=None, repr=False)
-    #: SQL lowering of the backward lineage walk, attached lazily by
-    #: the first store-resident ``lineage`` query.
-    lineage: "LineageSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the maintained reachability index
     #: (:mod:`repro.exchange.reach_index`), attached lazily by the
-    #: first store-resident exchange or indexed graph query.
+    #: first store-resident exchange, graph query or propagation.
     reach: "ReachSQL | None" = field(default=None, repr=False)
 
     @property

@@ -1,12 +1,11 @@
 """The maintained reachability index over the stored provenance graph.
 
-The per-call graph queries of :mod:`repro.exchange.graph_queries`
-recompute an ancestor (lineage) or liveness (derivability/trust)
-closure from scratch on every call — correct, but a fixed ~tens-of-ms
-cost per resident query that dwarfs the memory engine.  This module
-maintains the closure *substrate* instead: a compact, integer-keyed
-copy of the firing hypergraph that is kept current across
-``exchange``/``propagate_deletions`` and answered from directly.
+Every store-side graph query (:mod:`repro.exchange.graph_queries`)
+and resident deletion propagation runs over this index: a compact,
+integer-keyed copy of the firing hypergraph that is kept current
+across ``exchange``/``propagate_deletions`` and answered from
+directly, instead of re-joining wide slot rows through the rule
+bodies on every call.
 
 Design (documented in full in ``docs/graph-index.md``):
 
@@ -35,12 +34,14 @@ Design (documented in full in ``docs/graph-index.md``):
   ancestor test into a range predicate whenever the provenance DAG is
   a forest (every tuple derived by at most one single-body firing);
   general DAGs use a recursive-CTE closure over the integer edge
-  set — still orders of magnitude cheaper than the slot-row walk.
+  set.
 
 Queries over the index run as integer fixpoints/lookups in
 :class:`ReachabilityIndex` and are wired into
-:class:`~repro.exchange.graph_queries.StoreGraphQueries`; the unindexed
-paths survive untouched as the testing oracle (``use_index=False``).
+:class:`~repro.exchange.graph_queries.StoreGraphQueries`.  A stale or
+absent index is rebuilt from the stored rows before it answers; a
+rebuild over a copy of the store is also the open-window test oracle
+(:func:`~repro.exchange.graph_queries.rebuilt_index_queries`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.cdss.mapping import SchemaMapping, provenance_relation_name
 from repro.datalog.planner import K_SLOT, CompiledRule, _assign_slots, _compile_term
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ExchangeError
 from repro.exchange.sql_plans import (
     _ParamAllocator,
     _extractor_sql,
@@ -62,6 +63,7 @@ from repro.exchange.sql_plans import (
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.relational.instance import Catalog
+from repro.relational.schema import is_local_name
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -302,6 +304,27 @@ class ReachSQL:
         """Head relations: the only ones deletion propagation kills in."""
         return tuple(r for r in self.relations if r not in self.edb_relations)
 
+    def check_local_leaves(self) -> None:
+        """Raise :class:`ExchangeError` if a rule derives into a
+        local-contribution relation.
+
+        The index seeds liveness from the relations no rule derives
+        into, so the stored rows of a derived ``R_l`` would never be
+        seeded and every answer built on them would be silently
+        wrong.  Resident graph queries, deletion propagation and the
+        RA402 lint all reject the program here instead.
+        """
+        for rule in self.rules:
+            for head in rule.heads:
+                if is_local_name(head.relation):
+                    raise ExchangeError(
+                        f"rule {rule.rule_name} derives into the "
+                        f"local-contribution relation {head.relation}; "
+                        "resident graph queries and deletion propagation "
+                        "treat local relations as EDB leaves — rewrite "
+                        "the mapping to target the public relation"
+                    )
+
 
 def _endpoint_insert(
     crule: CompiledRule,
@@ -491,9 +514,7 @@ def lower_reach_program(
             catalog,
             alloc,
             seed_from=plan.seed.relation,
-            join_of=lambda rel: rel,
             guards=False,
-            target=fired_table(name),
         )
         rules.append(
             ReachRuleSQL(
@@ -782,8 +803,8 @@ class ReachabilityIndex:
         """Query-time recovery: rebuild a stale/absent index from the
         stored firing history and mark it current (the ``index.rebuild``
         span brackets the work).  Queries answer over the store as it
-        stands — the same window the unindexed paths see — so this is
-        always safe, even over a dirty (aborted-run) store."""
+        stands, so this is always safe, even over a dirty (aborted-run)
+        store."""
         with tracer.span("index.rebuild") as span:
             fires = self.rebuild_from_store(rsql)
             self._finalize_epoch()
@@ -799,8 +820,8 @@ class ReachabilityIndex:
         """Targeted maintenance for one deleted stored row (caller
         supplies the transaction and has checked :meth:`maintains`).
         Removes the fires incident to the node — they reference a tuple
-        that no longer exists, so the unindexed join paths would not
-        enumerate them either — records their heads (and rules) as
+        that no longer exists, so a rebuild from the stored rows would
+        not enumerate them either — records their heads (and rules) as
         deletion suspects, and bumps the epoch."""
         self.ensure_tables()
         conn = self.store.connection
@@ -1111,10 +1132,10 @@ class ReachabilityIndex:
         promotes every fire whose rule is trusted, whose body touches
         the delta, and whose body ids are all live; ``within_cone``
         additionally restricts promotion to heads in ``__rq_cone``.
-        Returns ``(iterations, live_fires)`` — matching the unindexed
-        fixpoint's ``(iterations, pm_rows_scanned)`` shape; deletion
-        propagation, which counts its own visited fires, skips the
-        live-fire count (``live_fires`` is then 0).
+        Returns ``(iterations, live_fires)`` — a query's
+        ``(iterations, pm_rows_scanned)``; deletion propagation, which
+        counts its own visited fires, skips the live-fire count
+        (``live_fires`` is then 0).
         """
         self._ensure_temps()
         conn = self.store.connection
@@ -1190,7 +1211,7 @@ class ReachabilityIndex:
 
     def closure_scanned(self) -> int:
         """Fires whose head is in the filled ancestor closure — the
-        indexed analogue of the walk's visited-firing count."""
+        lineage query's ``pm_rows_scanned``."""
         (scanned,) = self.store.connection.execute(
             f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)} "
             'WHERE head IN (SELECT id FROM "__rq_anc")'

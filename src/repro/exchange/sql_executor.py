@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
-from typing import Any, Callable, Iterable, Mapping as TMapping
+from typing import Callable, Iterable, Mapping as TMapping
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
@@ -61,9 +61,6 @@ from repro.relational.instance import Catalog, ChangeMark, Instance, Row
 from repro.relational.schema import RelationSchema, is_local_name
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
-
-#: an exchange round's per-relation tables, the stored relation first.
-EXCHANGE_STAGES = (lambda relation: relation, delta_table, cand_table, new_table)
 
 #: writer-side SQLITE_BUSY grace period for durable (WAL) stores, in
 #: milliseconds.  Readers in repro.serve never hold write locks, so the
@@ -169,6 +166,15 @@ class ExchangeStore:
         self.prepared_hits = 0
         self.prepared_misses = 0
         self._reach_index: ReachabilityIndex | None = None
+        #: local rows victim marking removed (:meth:`delete_relation_row`)
+        #: since the last deletion propagation, per relation; a pending
+        #: re-insert of one is shipped back ahead of the propagation's
+        #: cone (:meth:`ship_reinserted_victims`).
+        self._victims: dict[str, set[Row]] = {}
+        #: victims shipped back ahead of the change journal: the next
+        #: :meth:`sync_instance` of their relation must not append them
+        #: again.
+        self._reshipped: dict[str, set[Row]] = {}
         # The dirty-run flag lives in the database file, not on this
         # object: an aborted resident run must still trigger recovery
         # after the store is reopened by path (or in a new process).
@@ -376,78 +382,29 @@ class ExchangeStore:
         if token is not None:
             self._schema_ready.add(token)
 
-    def ensure_work_tables(
-        self,
-        catalog: Catalog,
-        relations: Iterable[str],
-        stages: "tuple[Callable[[str], str], ...]",
-        rules: Iterable[Any],
-        index_firings: bool = False,
-    ) -> None:
-        """Create (idempotently) an unindexed graph query's work tables:
-        per relation one table per *stages* name function — the first,
-        the accumulated set, indexed on all columns (the round-end stage
-        probes it once per candidate) — and per rule its firing table
-        (indexed on all slots when *index_firings*, for a dedup probe)."""
-        for relation in relations:
-            columns = catalog[relation].attribute_names
-            for stage in stages:
-                self._create_table(stage(relation), columns)
-            self._create_index(stages[0](relation), columns)
-        for rule in rules:
-            columns = tuple(slot_column(s) for s in range(rule.num_slots))
-            self._create_table(rule.firing_table, columns)
-            if index_firings and columns:
-                self._create_index(rule.firing_table, columns)
-        self.connection.commit()
-
-    def clear_work_tables(
-        self,
-        relations: Iterable[str],
-        stages: "tuple[Callable[[str], str], ...]",
-        rules: Iterable[Any],
-    ) -> None:
-        """Empty the work tables of :meth:`ensure_work_tables` (before a
-        query, and again after it so closures and live sets — as large
-        as the instance — do not linger on disk)."""
-        with self.connection:
-            for relation in relations:
-                for stage in stages:
-                    self.connection.execute(
-                        f"DELETE FROM {_q(stage(relation))}"
-                    )
-            for rule in rules:
-                self.connection.execute(f"DELETE FROM {_q(rule.firing_table)}")
-
     def promote_round(
-        self,
-        stages: "tuple[Callable[[str], str], ...]",
-        stage_sql: TMapping[str, str],
-        relations: Iterable[str],
+        self, stage_sql: TMapping[str, str], relations: Iterable[str]
     ) -> dict[str, int]:
-        """Round end of a semi-naive loop (exchange or an unindexed
-        walk): empty every relation's delta, stage each *stage_sql*
-        relation's fresh candidates, and promote them into its
-        accumulated set and next delta.  *stages* are the (set, delta,
-        candidate, new) table-name functions.  Returns the per-relation
-        sizes of the next delta."""
+        """Round end of a semi-naive exchange: empty every relation's
+        delta, stage each *stage_sql* relation's fresh candidates, and
+        publish them into the relation and its next delta.  Returns the
+        per-relation sizes of the next delta."""
         conn = self.connection
-        accumulated, delta, cand, new = stages
         for relation in relations:
-            conn.execute(f"DELETE FROM {_q(delta(relation))}")
+            conn.execute(f"DELETE FROM {_q(delta_table(relation))}")
         counts: dict[str, int] = {}
         for relation, sql in stage_sql.items():
             conn.execute(sql)
-            fresh = self.count(new(relation))
+            new = new_table(relation)
+            fresh = self.count(new)
             if fresh:
-                for table in (accumulated(relation), delta(relation)):
+                for table in (relation, delta_table(relation)):
                     conn.execute(
-                        f"INSERT INTO {_q(table)} "
-                        f"SELECT * FROM {_q(new(relation))}"
+                        f"INSERT INTO {_q(table)} SELECT * FROM {_q(new)}"
                     )
-                conn.execute(f"DELETE FROM {_q(new(relation))}")
+                conn.execute(f"DELETE FROM {_q(new)}")
                 counts[relation] = fresh
-            conn.execute(f"DELETE FROM {_q(cand(relation))}")
+            conn.execute(f"DELETE FROM {_q(cand_table(relation))}")
         return counts
 
     # -- per-run state ------------------------------------------------------
@@ -504,6 +461,9 @@ class ExchangeStore:
                 if self._marks.get(name) == current:
                     continue
                 appended = instance.changes_since(name, self._marks.get(name))
+                reshipped = self._reshipped.get(name)
+                if appended is not None and reshipped:
+                    appended = [r for r in appended if r not in reshipped]
                 if appended is None:
                     dropped = self.connection.execute(
                         f"DELETE FROM {_q(name)}"
@@ -533,6 +493,16 @@ class ExchangeStore:
                 self.reach_index.note_content_shipped()
         self._marks.update(new_marks)
         self._row_counts.update(new_counts)
+        for name in new_marks:
+            self._reshipped.pop(name, None)
+            if name in self._victims:
+                # The synced table equals the instance's relation: a
+                # re-inserted victim is stored again.
+                self._victims[name] = {
+                    row
+                    for row in self._victims[name]
+                    if not instance.contains(name, row)
+                }
         return rows_mirrored, relations_synced
 
     def mark_synced(self, instance: Instance) -> None:
@@ -605,7 +575,9 @@ class ExchangeStore:
         same transaction (``docs/graph-index.md``), so the index stays
         *current* across targeted resident deletions — queries issued
         before ``propagate_deletions`` answer from it without a
-        rebuild, over exactly the store the unindexed paths would see.
+        rebuild, over exactly the store a rebuild would see.  The row
+        is also recorded as a victim until the next propagation
+        (:meth:`ship_reinserted_victims`).
         """
         condition = " AND ".join(
             f"{_q(c)} IS ?" for c in schema.attribute_names
@@ -633,7 +605,40 @@ class ExchangeStore:
         removed = max(cursor.rowcount, 0)
         if removed:
             self.note_rows_removed(schema.name, removed)
+            self._victims.setdefault(schema.name, set()).add(row)
         return bool(removed)
+
+    def ship_reinserted_victims(self, instance: Instance) -> int:
+        """Store again every victim a pending local insert re-inserted
+        (the graph engine never dropped its leaf node, so its recorded
+        firings still count at propagation).  The rows go ahead of the
+        change journal — the next :meth:`sync_instance` skips them.
+        Their fires left the index with the delete, so the caller must
+        rebuild it.  Returns the number of rows shipped."""
+        back = {
+            name: rows
+            for name, victims in self._victims.items()
+            if (rows := {r for r in victims if instance.contains(name, r)})
+        }
+        if not back:
+            return 0
+        with self.connection:
+            for name, rows in back.items():
+                arity = instance.catalog[name].arity
+                placeholders = ", ".join("?" for _ in range(arity))
+                self.connection.executemany(
+                    f"INSERT INTO {_q(name)} VALUES ({placeholders})",
+                    [self.codec.encode_row(row) for row in rows],
+                )
+        for name, rows in back.items():
+            self._victims[name] -= rows
+            self._reshipped.setdefault(name, set()).update(rows)
+            self.note_rows_added(name, len(rows))
+        return sum(len(rows) for rows in back.values())
+
+    def retire_victims(self) -> None:
+        """A deletion propagation committed: its victims are settled."""
+        self._victims.clear()
 
     def delete_provenance_rows(
         self, mapping: SchemaMapping, rows: Iterable[Row]
@@ -909,7 +914,7 @@ class SQLiteExchangeEngine:
                                 {**rule.provenance_insert.params, **runtime},
                             )
                     new_counts = self.store.promote_round(
-                        EXCHANGE_STAGES, stage_sql, sql.relations
+                        stage_sql, sql.relations
                     )
                     for relation, fresh in new_counts.items():
                         rel_counts[relation] = (
@@ -954,6 +959,10 @@ class SQLiteExchangeEngine:
         cone (:meth:`ReachabilityIndex.begin_prune`) and kills it
         (:meth:`ReachabilityIndex.finish_prune`): work proportional to
         the cone, not the instance — see ``docs/graph-index.md``.
+        A victim that a pending local insert re-inserted is stored
+        again first (:meth:`ExchangeStore.ship_reinserted_victims`),
+        which sends the run down the incomplete-suspects path: the
+        index is rebuilt and the kernel runs over every derived row.
 
         Returns an :class:`EvaluationResult` with ``rows_deleted``,
         ``pm_rows_collected``, ``iterations`` (kernel rounds) and
@@ -968,17 +977,16 @@ class SQLiteExchangeEngine:
                 program.compiled, catalog, self.store.codec, mappings
             )
         rsql = program.reach
-        if any(is_local_name(r) for r in rsql.derived_relations):
-            raise ExchangeError(
-                "a rule derives into a local-contribution relation; "
-                "deletion propagation treats local relations as EDB "
-                "leaves — rewrite the mapping to target the public relation"
-            )
+        rsql.check_local_leaves()
         self.store.ensure_schema(
             catalog, mappings, program.sql, program.fingerprint
         )
         index = self.store.reach_index
         index.ensure_schema(rsql)
+        reshipped = self.store.ship_reinserted_victims(instance)
+        if reshipped:
+            index.mark_stale()
+            index.note_unmaintained_delete()
         tracer = self.tracer
         conn = self.store.connection
         result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
@@ -1002,13 +1010,15 @@ class SQLiteExchangeEngine:
         # (a rollback must leave it describing the uncut tables).
         for relation, removed in removed_counts.items():
             self.store.note_rows_removed(relation, removed)
-        # Only now ship unexchanged local rows: like the graph engine's
-        # unrecorded firings, they support nothing in this propagation
-        # (victim marking already shrank both sides).
+        self.store.retire_victims()
+        # Only now ship the other unexchanged local rows: like the
+        # graph engine's unrecorded firings, they support nothing in
+        # this propagation (victim marking already shrank both sides).
         with tracer.span("exchange.mirror") as mspan:
-            result.rows_mirrored, result.relations_synced = (
-                self.store.sync_instance(instance, resident=True)
+            mirrored, result.relations_synced = self.store.sync_instance(
+                instance, resident=True
             )
+            result.rows_mirrored = mirrored + reshipped
             mspan.set("rows", result.rows_mirrored).set(
                 "relations", result.relations_synced
             )

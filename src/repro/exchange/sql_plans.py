@@ -30,26 +30,11 @@ semantics match the Python engine's ``==`` on rows that may contain
 ``None``.  Statements use named parameters: compile-time constants bind
 ``:p<N>``; the per-round firing-table watermark binds ``:wm``.
 
-**The unindexed DERIVABILITY test** (the paper's Q5) gets its own
-lowering: :func:`lower_derivability_program` runs it *relationally* —
-a semi-naive fixpoint over ``__live_*`` tables marks every tuple still
-derivable from the stored EDB leaves (the least fixpoint, so
-cyclically self-supporting tuples annotate false).  Because the store
-holds an exchange fixpoint, re-joining *live* rows through the rule
-bodies enumerates exactly the historical firings whose antecedents all
-survive — the relational mirror of annotating the provenance graph
-with the DERIVABILITY semiring.  It backs the ``use_index=False``
-graph queries; deletion propagation runs on the reachability index
-(:mod:`repro.exchange.reach_index`).
-
-**Graph queries** (:mod:`repro.exchange.graph_queries`) reuse both
-shapes: ``derivability``/``trusted`` run the liveness fixpoint with
-query-specific seeds and rule sets, while ``lineage`` walks the
-firing history *backwards* — :class:`HeadProbe` restricts each plan's
-firing enumeration to firings producing a row already known to be an
-ancestor (``__adelta_*``), and ``dedup`` keeps the per-rule
-``__qfired_*`` log exact across rounds.  This module only provides the
-lowerings; the walk itself lives with the other query machinery.
+The reachability index (:mod:`repro.exchange.reach_index`) reuses the
+firing enumeration of :func:`_plan_firing_sql` without guards to
+re-enumerate a rule's whole firing history from the stored relations
+(an index rebuild); every store-side graph query and deletion
+propagation then runs over that index.
 """
 
 from __future__ import annotations
@@ -61,7 +46,6 @@ from repro.cdss.mapping import SchemaMapping, provenance_relation_name
 from repro.datalog.planner import (
     CompiledRule,
     K_CONST,
-    K_SKOLEM,
     K_SLOT,
     RulePlan,
     _assign_slots,
@@ -69,7 +53,6 @@ from repro.datalog.planner import (
 )
 from repro.errors import ExchangeError
 from repro.relational.instance import Catalog
-from repro.relational.schema import is_local_name
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
 #: table-name prefixes of the executor's working tables.
@@ -77,23 +60,6 @@ DELTA_PREFIX = "__delta_"
 NEW_PREFIX = "__new_"
 CAND_PREFIX = "__cand_"
 FIRED_PREFIX = "__fired_"
-#: table-name prefixes of the unindexed derivability working tables:
-#: the set of live (still-derivable) rows per relation, its semi-naive
-#: delta/candidate/new stages, and the live firings per rule.
-LIVE_PREFIX = "__live_"
-LIVE_DELTA_PREFIX = "__ldelta_"
-LIVE_CAND_PREFIX = "__lcand_"
-LIVE_NEW_PREFIX = "__lnew_"
-LIVE_FIRED_PREFIX = "__lfired_"
-#: table-name prefixes of the lineage (graph-query) working tables:
-#: the per-relation ancestor closure being grown by the backward walk,
-#: its delta/candidate/new stages, and the per-rule table of firings
-#: the walk has visited (the scanned slice of the firing history).
-ANC_PREFIX = "__anc_"
-ANC_DELTA_PREFIX = "__adelta_"
-ANC_CAND_PREFIX = "__acand_"
-ANC_NEW_PREFIX = "__anew_"
-QUERY_FIRED_PREFIX = "__qfired_"
 
 #: pseudo attribute type for Skolem-argument decoding: "decode by tag
 #: only" (ints/floats/strings pass through, labeled nulls re-intern).
@@ -114,52 +80,6 @@ def cand_table(relation: str) -> str:
 
 def fired_table(rule_name: str) -> str:
     return FIRED_PREFIX + rule_name
-
-
-def live_table(relation: str) -> str:
-    return LIVE_PREFIX + relation
-
-
-def live_delta_table(relation: str) -> str:
-    return LIVE_DELTA_PREFIX + relation
-
-
-def live_cand_table(relation: str) -> str:
-    return LIVE_CAND_PREFIX + relation
-
-
-def live_new_table(relation: str) -> str:
-    return LIVE_NEW_PREFIX + relation
-
-
-def live_fired_table(rule_name: str) -> str:
-    return LIVE_FIRED_PREFIX + rule_name
-
-
-def anc_table(relation: str) -> str:
-    return ANC_PREFIX + relation
-
-
-def anc_delta_table(relation: str) -> str:
-    return ANC_DELTA_PREFIX + relation
-
-
-def anc_cand_table(relation: str) -> str:
-    return ANC_CAND_PREFIX + relation
-
-
-def anc_new_table(relation: str) -> str:
-    return ANC_NEW_PREFIX + relation
-
-
-def query_fired_table(rule_name: str) -> str:
-    return QUERY_FIRED_PREFIX + rule_name
-
-
-#: per-relation work tables of the unindexed liveness fixpoint and
-#: lineage walk, the accumulated set first.
-LIVE_STAGES = (live_table, live_delta_table, live_cand_table, live_new_table)
-ANC_STAGES = (anc_table, anc_delta_table, anc_cand_table, anc_new_table)
 
 
 def slot_column(slot: int) -> str:
@@ -272,50 +192,21 @@ def _term_variables(term):
             yield from _term_variables(arg)
 
 
-@dataclass(frozen=True)
-class HeadProbe:
-    """Restriction of a firing enumeration to wanted head rows.
-
-    Lineage walks the firing history *backwards*: a firing is relevant
-    only when one of its head atoms produces a row already known to be
-    an ancestor of the query node.  The probe joins the enumeration
-    against that head relation's ``__adelta_*`` table, equating each of
-    the head atom's extractor expressions (Skolems included — they are
-    reconstructed in SQL, so equal labeled nulls compare equal) with
-    the corresponding ancestor column.
-    """
-
-    table: str
-    columns: tuple[str, ...]
-    extractors: tuple[tuple[int, object], ...]
-    slot_types: tuple[str, ...]
-
-
 def _plan_firing_sql(
     crule: CompiledRule,
     plan: RulePlan,
     catalog: Catalog,
     alloc: _ParamAllocator,
     seed_from: str,
-    join_of,
     guards: bool,
-    target: str,
-    probe: HeadProbe | None = None,
-    dedup: bool = False,
 ) -> str:
-    """The ``INSERT ... SELECT DISTINCT`` enumerating one plan's firings.
+    """The ``INSERT INTO __fired_<rule> SELECT DISTINCT ...`` enumerating
+    one plan's firings.
 
-    ``seed_from`` names the table the seed atom ranges over, ``join_of``
-    maps each join step's relation to the table actually joined (the
-    frozen mirror for exchange, the ``__live_*`` tables for the
-    derivability fixpoint), and ``guards`` controls whether guard steps
-    emit their ``NOT EXISTS`` once-per-firing probes (liveness is a set
-    computation, so the derivability lowering skips them).  ``probe``
-    adds a join against a wanted-head table (the lineage walk's
-    backward restriction), and ``dedup`` skips firings already recorded
-    in *target* — required when the same statement runs once per round
-    of an iterative walk and firing rows drive watermark-delimited
-    downstream inserts.
+    ``seed_from`` names the table the seed atom ranges over (every join
+    step joins the stored relation), and ``guards`` controls whether
+    guard steps emit their ``NOT EXISTS`` once-per-firing probes (an
+    index rebuild re-enumerates the whole history, so it skips them).
     """
     seed = plan.seed
     seed_cols = _columns(catalog, seed.relation)
@@ -350,7 +241,7 @@ def _plan_firing_sql(
         for pos, slot in step.checks:
             on_parts.append(f'{alias}.{_q(cols[pos])} IS {slot_src[slot]}')
         joins.append(
-            f'JOIN {_q(join_of(step.relation))} AS {alias} '
+            f'JOIN {_q(step.relation)} AS {alias} '
             f"ON {' AND '.join(on_parts) if on_parts else '1'}"
         )
         if guards and step.guard:
@@ -368,36 +259,13 @@ def _plan_firing_sql(
         raise ExchangeError(
             f"rule {crule.rule.name}: slots {missing} unbound after lowering"
         )
-    if probe is not None:
-        exprs = _extractor_sql(
-            probe.extractors,
-            alloc,
-            probe.slot_types,
-            slot_ref=slot_src.__getitem__,
-        )
-        on_parts = [
-            f'q.{_q(column)} IS {expr}'
-            for column, expr in zip(probe.columns, exprs)
-        ]
-        joins.append(
-            f'JOIN {_q(probe.table)} AS q '
-            f"ON {' AND '.join(on_parts) if on_parts else '1'}"
-        )
-    if dedup:
-        match = " AND ".join(
-            f'z.{_q(slot_column(s))} IS {slot_src[s]}'
-            for s in range(crule.num_slots)
-        ) or "1"
-        conditions.append(
-            f"NOT EXISTS (SELECT 1 FROM {_q(target)} AS z WHERE {match})"
-        )
     select_list = ", ".join(slot_src[s] for s in range(crule.num_slots))
     target_cols = ", ".join(
         _q(slot_column(s)) for s in range(crule.num_slots)
     )
     where = f"\nWHERE {' AND '.join(conditions)}" if conditions else ""
     return (
-        f"INSERT INTO {_q(target)} ({target_cols})\n"
+        f"INSERT INTO {_q(fired_table(crule.rule.name))} ({target_cols})\n"
         f"SELECT DISTINCT {select_list}\n"
         f"FROM {_q(seed_from)} AS {seed_alias}\n"
         + "\n".join(joins)
@@ -418,9 +286,7 @@ def _lower_plan(
         catalog,
         alloc,
         seed_from=delta_table(plan.seed.relation),
-        join_of=lambda relation: relation,
         guards=True,
-        target=fired_table(crule.rule.name),
     )
     return PlanSQL(
         plan.seed.relation, Statement(sql, alloc.params), plan.guarded_relations
@@ -428,8 +294,9 @@ def _lower_plan(
 
 
 def _fired_slot_ref(slot: int) -> str:
-    """Default slot reference: the firing-table alias of the head and
-    provenance inserts (``f`` ranges over ``__fired_<rule>``)."""
+    """A slot reference through the firing-table alias of the head,
+    provenance and index-endpoint inserts (``f`` ranges over
+    ``__fired_<rule>``)."""
     return f'f.{_q(slot_column(slot))}'
 
 
@@ -437,7 +304,6 @@ def _skolem_sql(
     payload: object,
     alloc: _ParamAllocator,
     slot_types: Sequence[str],
-    slot_ref=_fired_slot_ref,
 ) -> str:
     """Lower a compiled Skolem extractor into a ``repro_skolem`` call."""
     function, arg_extractors = payload  # type: ignore[misc]
@@ -445,7 +311,7 @@ def _skolem_sql(
     arg_types: list[str] = []
     for kind, arg_payload in arg_extractors:
         if kind == K_SLOT:
-            arg_sql.append(slot_ref(arg_payload))
+            arg_sql.append(_fired_slot_ref(arg_payload))
             arg_types.append(slot_types[arg_payload])
         elif kind == K_CONST:
             arg_sql.append(alloc.bind(arg_payload))
@@ -453,7 +319,7 @@ def _skolem_sql(
                 "bool" if isinstance(arg_payload, bool) else ANY_TYPE
             )
         else:  # nested Skolem: decoded back by its tag
-            arg_sql.append(_skolem_sql(arg_payload, alloc, slot_types, slot_ref))
+            arg_sql.append(_skolem_sql(arg_payload, alloc, slot_types))
             arg_types.append(ANY_TYPE)
     name = alloc.bind(function)
     types = alloc.bind(",".join(arg_types))
@@ -465,16 +331,15 @@ def _extractor_sql(
     extractors: Sequence[tuple[int, object]],
     alloc: _ParamAllocator,
     slot_types: Sequence[str],
-    slot_ref=_fired_slot_ref,
 ) -> list[str]:
     out: list[str] = []
     for kind, payload in extractors:
         if kind == K_SLOT:
-            out.append(slot_ref(payload))
+            out.append(_fired_slot_ref(payload))
         elif kind == K_CONST:
             out.append(alloc.bind(payload))
         else:
-            out.append(_skolem_sql(payload, alloc, slot_types, slot_ref))
+            out.append(_skolem_sql(payload, alloc, slot_types))
     return out
 
 
@@ -484,18 +349,14 @@ def _lower_head_insert(
     extractors: Sequence[tuple[int, object]],
     slot_types: Sequence[str],
     codec: ValueCodec,
-    target: str | None = None,
-    fired: str | None = None,
 ) -> Statement:
-    """Fresh firings -> candidate rows.  ``target``/``fired`` override
-    the table names so the derivability fixpoint reuses the lowering
-    over its ``__lcand_*``/``__lfired_*`` tables."""
+    """Fresh firings -> candidate rows."""
     alloc = _ParamAllocator(codec)
     exprs = _extractor_sql(extractors, alloc, slot_types)
     sql = (
-        f"INSERT INTO {_q(target or cand_table(relation))}\n"
+        f"INSERT INTO {_q(cand_table(relation))}\n"
         f"SELECT DISTINCT {', '.join(exprs)}\n"
-        f"FROM {_q(fired or fired_table(crule.rule.name))} AS f\n"
+        f"FROM {_q(fired_table(crule.rule.name))} AS f\n"
         f"WHERE f.rowid > :wm"
     )
     return Statement(sql, alloc.params, runtime=("wm",))
@@ -609,169 +470,3 @@ def lower_program(
     for crule in compiled:
         indexes |= crule.index_requirements()
     return ProgramSQL(rules, tuple(relations), tuple(sorted(indexes)))
-
-
-# -- unindexed derivability (liveness over the stored relations, Q5) ---------
-
-
-@dataclass(frozen=True)
-class DerivabilityPlanSQL:
-    """One plan of the liveness fixpoint: finds the firings whose last
-    body row just became live."""
-
-    seed_relation: str
-    statement: Statement
-
-
-@dataclass(frozen=True)
-class DerivabilityRuleSQL:
-    """One rule of the liveness fixpoint (no guards, no write-back)."""
-
-    rule_name: str
-    num_slots: int
-    firing_table: str
-    plans: tuple[DerivabilityPlanSQL, ...]
-    #: fresh live firings -> ``__lcand_<relation>`` per head atom.
-    head_inserts: tuple[Statement, ...]
-
-
-@dataclass(frozen=True)
-class DerivabilitySQL:
-    """SQL lowering of the relational DERIVABILITY test.
-
-    A tuple is live iff it is a seeded EDB (local-contribution) row,
-    or some firing over live rows produces it *and* the tuple is
-    stored — the least fixpoint of the DERIVABILITY semiring over the
-    firing history, computed without materializing anything in Python.
-    """
-
-    rules: tuple[DerivabilityRuleSQL, ...]
-    #: every relation the fixpoint touches.
-    relations: tuple[str, ...]
-    #: relations seeded live from their full extension (EDB leaves —
-    #: the local-contribution tables; their firings are the paper's
-    #: "EDB-insertion firings", which keep their tuples alive).
-    edb_relations: tuple[str, ...]
-    #: head relations: only these can gain live rows per round.
-    derived_relations: tuple[str, ...]
-
-
-def stage_live_sql(catalog: Catalog, relation: str) -> str:
-    """Round-end liveness stage: distinct candidates that are stored
-    (derivations must correspond to recorded firings — a row absent
-    from the relation was never exchanged and supports nothing) and not
-    yet marked live."""
-    cols = _columns(catalog, relation)
-    stored = " AND ".join(f'r.{_q(c)} IS c.{_q(c)}' for c in cols)
-    live = " AND ".join(f'l.{_q(c)} IS c.{_q(c)}' for c in cols)
-    return (
-        f"INSERT INTO {_q(live_new_table(relation))}\n"
-        f"SELECT DISTINCT * FROM {_q(live_cand_table(relation))} AS c\n"
-        f"WHERE EXISTS (SELECT 1 FROM {_q(relation)} AS r WHERE {stored})\n"
-        f"AND NOT EXISTS "
-        f"(SELECT 1 FROM {_q(live_table(relation))} AS l WHERE {live})"
-    )
-
-
-def stage_ancestor_sql(catalog: Catalog, relation: str) -> str:
-    """Round-end stage of the lineage walk: distinct ancestor
-    candidates not yet in the closure.  No stored-row filter is needed
-    — candidates are projections of firings whose body rows were
-    *joined from* the stored relations, so they are stored by
-    construction."""
-    cols = _columns(catalog, relation)
-    known = " AND ".join(f'a.{_q(c)} IS c.{_q(c)}' for c in cols)
-    return (
-        f"INSERT INTO {_q(anc_new_table(relation))}\n"
-        f"SELECT DISTINCT * FROM {_q(anc_cand_table(relation))} AS c\n"
-        f"WHERE NOT EXISTS "
-        f"(SELECT 1 FROM {_q(anc_table(relation))} AS a WHERE {known})"
-    )
-
-
-def _lower_derivability_rule(
-    crule: CompiledRule,
-    catalog: Catalog,
-    codec: ValueCodec,
-) -> DerivabilityRuleSQL:
-    if not crule.plans:
-        raise ExchangeError(
-            f"rule {crule.rule.name} cannot run on the sqlite engine "
-            "(its body contains terms the planner does not compile); "
-            'use exchange(engine="memory")'
-        )
-    name = crule.rule.name
-    fired = live_fired_table(name)
-    slot_types = _slot_types(crule, catalog)
-    plans = []
-    for plan in crule.plans:
-        alloc = _ParamAllocator(codec)
-        sql = _plan_firing_sql(
-            crule,
-            plan,
-            catalog,
-            alloc,
-            seed_from=live_delta_table(plan.seed.relation),
-            join_of=live_table,
-            guards=False,
-            target=fired,
-        )
-        plans.append(
-            DerivabilityPlanSQL(
-                plan.seed.relation, Statement(sql, alloc.params)
-            )
-        )
-    head_inserts = tuple(
-        _lower_head_insert(
-            crule,
-            relation,
-            extractors,
-            slot_types,
-            codec,
-            target=live_cand_table(relation),
-            fired=fired,
-        )
-        for relation, extractors in crule.head
-    )
-    return DerivabilityRuleSQL(
-        name, crule.num_slots, fired, tuple(plans), head_inserts
-    )
-
-
-def lower_derivability_program(
-    compiled: Sequence[CompiledRule],
-    catalog: Catalog,
-    codec: ValueCodec,
-) -> DerivabilitySQL:
-    """Lower the whole program's DERIVABILITY test.
-
-    The leaf model requires every local-contribution relation to be an
-    EDB leaf: a mapping deriving *into* an ``R_l`` relation would make
-    its rows part-leaf, part-derived, which the relational test (unlike
-    the per-node graph test) cannot express — rejected loudly.
-    """
-    relations: dict[str, None] = {}
-    heads: set[str] = set()
-    for crule in compiled:
-        for rel in crule.body_relations:
-            relations.setdefault(rel, None)
-        for rel, _extractors in crule.head:
-            relations.setdefault(rel, None)
-            heads.add(rel)
-            if is_local_name(rel):
-                raise ExchangeError(
-                    f"rule {crule.rule.name} derives into the "
-                    f"local-contribution relation {rel}; the relational "
-                    "derivability test treats local relations as EDB "
-                    "leaves — rewrite the mapping to target the public "
-                    "relation"
-                )
-    rules = tuple(
-        _lower_derivability_rule(crule, catalog, codec) for crule in compiled
-    )
-    return DerivabilitySQL(
-        rules,
-        tuple(relations),
-        tuple(r for r in relations if r not in heads),
-        tuple(r for r in relations if r in heads),
-    )

@@ -32,10 +32,8 @@ SPANS: dict[str, str] = {
     "deletion.annotate": "Derivability annotation of the in-memory graph.",
     "deletion.cone": "Resident propagation: stage the dead cone and run the index liveness kernel inside it (attrs: suspects, cone, dead, rounds).",
     "deletion.kill": "Kill transaction: delete dead rows by rowid, collect dead P_m rows, prune dead fires (attrs: rows_deleted, pm_rows_collected).",
-    "fixpoint.round": "One round of the unindexed SQL liveness fixpoint behind use_index=False queries (attrs: round, firings).",
     # -- graph queries ------------------------------------------------------
     "graph_query": "One CDSS.{derivability,lineage,trusted} call (attrs: query, engine).",
-    "walk.round": "One backward-walk round of the resident lineage query (attrs: round).",
     # -- maintained reachability index ---------------------------------------
     "index.maintain": "Post-run maintenance of the reachability index (attrs: mode, fires).",
     "index.invalidate": "Deletion cone exceeded the threshold: index marked stale (attrs: dead, fires).",

@@ -14,6 +14,10 @@ from all-``zero``, which converges for the idempotent + absorptive
 semirings of Table 1; for the others a :class:`CycleError` is raised,
 matching the paper's caveat that e.g. derivation counts may be
 infinite.
+
+These annotations are the memory engine's answers, and the oracle the
+store-side queries over the reachability index
+(:mod:`repro.exchange.graph_queries`) are property-tested against.
 """
 
 from __future__ import annotations
@@ -234,7 +238,7 @@ def lineage_of(graph: ProvenanceGraph, node: TupleNode) -> frozenset:
 
     Raises :class:`KeyError` when *node* is not in the graph, and is
     the single definition of lineage both engines implement: the
-    SQLite engine's backward walk
+    SQLite engine's ancestor closure over the reachability index
     (:meth:`repro.exchange.graph_queries.StoreGraphQueries.lineage`)
     computes the same leaf set over the stored firing history.
     """

@@ -22,7 +22,11 @@ row of its mapping's ``P_m`` provenance relation (equivalently, a
 satisfied body join over the stored instance — the store holds an
 exchange fixpoint, so the two coincide).  Store-resident systems never
 build this object at all; the graph queries of
-:mod:`repro.exchange.graph_queries` traverse the twin instead.
+:mod:`repro.exchange.graph_queries` traverse the twin instead, through
+its integer copy, the reachability index of
+:mod:`repro.exchange.reach_index`.  This graph, annotated by
+:mod:`repro.provenance.annotate`, is the oracle those queries are
+property-tested against.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 One writer thread loops insert → exchange → delete → propagate over a
 resident chain store while N reader threads hammer ``lineage`` /
 ``derivability`` / ``trusted`` through a :class:`repro.serve.ReaderPool`.
-The writer records a single-threaded *oracle* answer (the unindexed
-relational paths of :class:`~repro.exchange.graph_queries.\
-StoreGraphQueries`) for every epoch it creates; every reader records the
+The writer records a single-threaded *oracle* answer (the same queries
+over a copy of the store whose reachability index is rebuilt from the
+stored rows, :func:`~repro.exchange.graph_queries.rebuilt_index_queries`)
+for every epoch it creates; every reader records the
 digest of every answer it got, keyed by the epoch its snapshot observed.
 The run passes iff each reader digest equals the oracle digest *at that
 reader's epoch* — the serving tier's whole contract in one assertion —
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cdss.trust import TrustPolicy
-from repro.exchange.graph_queries import StoreGraphQueries
+from repro.exchange.graph_queries import rebuilt_index_queries
 from repro.provenance.graph import TupleNode
 from repro.serve import (
     BackoffPolicy,
@@ -247,9 +248,6 @@ def _run_soak(
     store = cdss.exchange_store
     assert store is not None
     program, _ = cdss.plan_cache.fetch(cdss.program())
-    oracle = StoreGraphQueries(
-        store, program, cdss.catalog, cdss.mappings, use_index=False
-    )
     policy = _soak_policy()
     probes = _probe_nodes(config)
     top = peer_name(config.peers - 1)
@@ -266,14 +264,17 @@ def _run_soak(
         if epoch in oracle_digests:
             return
         answers: dict[object, object] = {}
-        for number, probe in enumerate(probes):
-            try:
-                value: object = oracle.lineage(probe)[0]
-            except KeyError:
-                value = "KeyError"
-            answers[("lineage", number)] = _digest(value)
-        answers[("derivability",)] = _digest(oracle.derivability()[0])
-        answers[("trusted",)] = _digest(oracle.trusted(policy)[0])
+        with rebuilt_index_queries(
+            store, program, cdss.catalog, cdss.mappings
+        ) as oracle:
+            for number, probe in enumerate(probes):
+                try:
+                    value: object = oracle.lineage(probe)[0]
+                except KeyError:
+                    value = "KeyError"
+                answers[("lineage", number)] = _digest(value)
+            answers[("derivability",)] = _digest(oracle.derivability()[0])
+            answers[("trusted",)] = _digest(oracle.trusted(policy)[0])
         oracle_digests[epoch] = answers
 
     record_oracle()

@@ -9,7 +9,8 @@ memory engine after every propagation: every relation,
 ``rows_deleted``, ``pm_rows_collected`` and every stored ``P_m`` row
 set.  Deterministic regressions pin the paths a random lifecycle
 rarely takes: cyclic self-support, a delete while the index is stale,
-unexchanged local inserts, and a cone above the stale-mark threshold.
+unexchanged local inserts, a victim re-inserted before propagation, and
+a cone above the stale-mark threshold.
 """
 
 import tempfile
@@ -100,6 +101,7 @@ entries = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3))
         st.tuples(
             st.lists(st.integers(0, 99), min_size=1, max_size=4),
             st.lists(entries, max_size=3),
+            st.booleans(),
         ),
         min_size=1,
         max_size=3,
@@ -110,9 +112,10 @@ def test_cone_propagation_matches_memory(kind, num_peers, base, batches):
         memory, resident = topology_twins(
             kind, num_peers, base, str(Path(tmp) / "cone.db")
         )
-        for picks, inserts in batches:
-            # Several deletes, then (possibly re-)inserts exchanged
-            # before the one propagation of the batch.
+        for picks, inserts, exchanged in batches:
+            # Several deletes, then (possibly re-)inserts — exchanged
+            # or still pending — before the one propagation of the
+            # batch.
             for pick in picks:
                 candidates = local_rows(memory)
                 if not candidates:
@@ -123,8 +126,12 @@ def test_cone_propagation_matches_memory(kind, num_peers, base, batches):
             if inserts:
                 for system in (memory, resident):
                     _seed_topology(system, num_peers, inserts)
-                exchange_both(memory, resident)
+                if exchanged:
+                    exchange_both(memory, resident)
             propagate_both(memory, resident)
+            if inserts and not exchanged:
+                exchange_both(memory, resident)
+                assert_store_matches(memory, resident)
             assert resident.derivability() == memory.derivability()
 
 
@@ -197,17 +204,21 @@ def test_unexchanged_local_inserts_support_nothing(tmp_path):
 
 
 def test_reinserted_victim_converges_at_the_next_exchange(tmp_path):
-    # Documented window: a victim re-inserted but not yet exchanged has
-    # lost its fires, so its consequences die at propagation (the graph
-    # engine keeps them); the next exchange re-derives them.
+    # A victim re-inserted but not yet exchanged lost its fires with
+    # the delete; propagation ships it back first and rebuilds the
+    # index, so its consequences survive exactly as the graph engine's
+    # kept leaf node does — and the next exchange ships nothing twice.
     memory, resident = topology_twins(
         "chain", 3, [(2, 0, 10), (2, 1, 11)], str(tmp_path / "again.db")
     )
     for system in (memory, resident):
         system.delete_local("P2_R1", (0, 10))
         system.insert_local("P2_R1", (0, 10))
-        system.propagate_deletions()
+    propagate_both(memory, resident)
+    assert resident.last_deletion.rows_mirrored == 1
+    assert resident.derivability() == memory.derivability()
     exchange_both(memory, resident)
+    assert resident.last_exchange.rows_mirrored == 0
     assert_store_matches(memory, resident)
     assert resident.derivability() == memory.derivability()
 

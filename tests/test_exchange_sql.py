@@ -1094,9 +1094,9 @@ class TestResidentGraphQueries:
     node-for-node while never materializing a provenance graph."""
 
     def test_lineage_through_labeled_nulls(self, tmp_path):
-        # The backward walk's head probes must rebuild Skolem head
-        # values inside SQL (repro_skolem) so an ancestor row carrying
-        # a labeled null matches the firings that produced it.
+        # The index lowering's endpoint inserts must rebuild Skolem
+        # head values inside SQL (repro_skolem) so a row carrying a
+        # labeled null resolves to the node the firings produced.
         def build():
             system = CDSS(
                 [
@@ -1122,6 +1122,47 @@ class TestResidentGraphQueries:
         )
         for node in memory.graph.tuples:
             assert resident.lineage(node) == memory.lineage(node), node
+
+    def test_derivation_into_a_local_relation_is_rejected(self, tmp_path):
+        # The index seeds liveness from the relations no rule derives
+        # into, so the local rows of a derived R_l would go unseeded
+        # and every verdict over them would be silently False.  The
+        # memory engine runs this program; resident queries and
+        # deletion propagation refuse it.
+        from repro.cdss.trust import TrustPolicy
+        from repro.provenance.graph import TupleNode
+
+        def build():
+            system = CDSS(
+                Peer.of(
+                    name,
+                    [RelationSchema.of(f"{name}_R", ["k", "v"], key=["k"])],
+                )
+                for name in ("P0", "P1")
+            )
+            system.add_mapping("m1: P0_R(k, v) :- P1_R(k, v)")
+            system.add_mapping("m_loc: P0_R_l(k, v) :- P1_R(k, v)")
+            system.insert_local("P0_R", (5, 6))
+            return system
+
+        memory, resident = build(), build()
+        memory.exchange()
+        resident.exchange(
+            engine="sqlite", storage=str(tmp_path / "loc.db"), resident=True
+        )
+        node = TupleNode("P0_R", (5, 6))
+        verdicts = memory.derivability()
+        assert verdicts[node] and verdicts[TupleNode("P0_R_l", (5, 6))]
+        for query in (
+            resident.derivability,
+            lambda: resident.trusted(TrustPolicy()),
+            lambda: resident.lineage(node),
+        ):
+            with pytest.raises(ExchangeError, match="P0_R_l"):
+                query()
+        assert resident.delete_local("P0_R", (5, 6))
+        with pytest.raises(ExchangeError, match="P0_R_l"):
+            resident.propagate_deletions()
 
     def test_trust_kills_cyclic_self_support(self, tmp_path):
         # m1/m3 of the running example form a cycle (C -> N -> C).
@@ -1209,11 +1250,8 @@ class TestResidentGraphQueries:
     def test_queries_clear_work_tables(self, tmp_path):
         # Ancestor closures and live sets can rival the instance in
         # size; they must not linger after the answer is read.  The
-        # indexed paths work in the __rq_* temp tables; the legacy
-        # paths keep their per-relation work-table contract.
-        from repro.exchange.graph_queries import StoreGraphQueries
+        # queries work in the __rq_* temp tables.
         from repro.exchange.reach_index import _ID_TEMPS
-        from repro.exchange.sql_plans import anc_table, live_table
 
         memory, resident = build_resident_deletion_pair(tmp_path)
         node = sorted(memory.graph.tuples_in("O"))[0]
@@ -1222,37 +1260,24 @@ class TestResidentGraphQueries:
         store = resident.exchange_store
         for table in _ID_TEMPS:
             assert store.count(table) == 0, table
-        program, _ = resident.plan_cache.fetch(resident.program())
-        legacy = StoreGraphQueries(
-            store,
-            program,
-            resident.catalog,
-            resident.mappings,
-            use_index=False,
-        )
-        legacy.lineage(node)
-        legacy.derivability()
-        for relation in program.lineage.relations:
-            assert store.count(anc_table(relation)) == 0, relation
-        for relation in program.derivability.relations:
-            assert store.count(live_table(relation)) == 0, relation
 
     def test_lowerings_are_cached_on_the_program(self, tmp_path):
         # Repeated queries over an unchanged program lower nothing new:
-        # the LineageSQL/DerivabilitySQL attach to the cache entry.
+        # the ProgramSQL/ReachSQL attach to the cache entry.
         memory, resident = build_resident_deletion_pair(tmp_path)
         node = sorted(memory.graph.tuples_in("O"))[0]
         resident.lineage(node)
         resident.derivability()
         program, hit = resident.plan_cache.fetch(resident.program())
         assert hit
-        lineage_sql = program.lineage
-        derivability_sql = program.derivability
+        program_sql = program.sql
+        reach_sql = program.reach
+        assert program_sql is not None and reach_sql is not None
         resident.lineage(node)
         resident.derivability()
         program, _ = resident.plan_cache.fetch(resident.program())
-        assert program.lineage is lineage_sql
-        assert program.derivability is derivability_sql
+        assert program.sql is program_sql
+        assert program.reach is reach_sql
 
     def test_queries_survive_catalog_growth(self, tmp_path):
         # add_peer/add_mapping after a resident exchange must not break
@@ -1272,15 +1297,3 @@ class TestResidentGraphQueries:
             TrustPolicy()
         )
 
-    def test_trust_seeding_streams_in_batches(self, tmp_path, monkeypatch):
-        # Leaf-conditioned relations seed the trust fixpoint without
-        # materializing their extension: force a tiny batch size and
-        # the verdicts must still match the graph engine.
-        from repro.cdss.trust import TrustPolicy
-        from repro.exchange.graph_queries import StoreGraphQueries
-
-        memory, resident = build_resident_deletion_pair(tmp_path)
-        monkeypatch.setattr(StoreGraphQueries, "SEED_BATCH", 1)
-        policy = TrustPolicy()
-        policy.trust_if("A", lambda values: values[2] < 6)
-        assert resident.trusted(policy) == memory.trusted(policy)

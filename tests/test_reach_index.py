@@ -1,12 +1,13 @@
 """The maintained reachability index (docs/graph-index.md): lifecycle
 maintenance, the epoch/staleness protocol, and indexed answers checked
-against both the legacy relational paths and the memory engine."""
-
-import pytest
+against both a rebuilt-index copy of the store and the memory engine."""
 
 import repro.exchange.reach_index as reach_index
 from repro.cdss import CDSS, Peer, TrustPolicy
-from repro.exchange.graph_queries import StoreGraphQueries
+from repro.exchange.graph_queries import (
+    StoreGraphQueries,
+    rebuilt_index_queries,
+)
 from repro.exchange.sql_executor import ExchangeStore
 from repro.obs import MemorySink, Tracer
 from repro.relational import RelationSchema
@@ -70,22 +71,27 @@ class TestIndexedQueryAnswers:
         assert resident.metrics.value("graph_query.index_hit") == 3
         assert "graph_query.index_miss" not in resident.metrics.snapshot()
 
-    def test_indexed_answers_match_legacy_oracle(self, tmp_path):
+    def test_indexed_answers_match_rebuilt_index_copy(self, tmp_path):
         memory, resident = build_resident_deletion_pair(tmp_path)
+        store = resident.exchange_store
+        epoch = store.meta_get("index_epoch")
         program, _ = resident.plan_cache.fetch(resident.program())
-        legacy = StoreGraphQueries(
-            resident.exchange_store,
-            program,
-            resident.catalog,
-            resident.mappings,
-            use_index=False,
-        )
         node = o_node(memory)
         policy = distrusting_policy()
-        assert resident.derivability() == legacy.derivability()[0]
-        assert resident.lineage(node) == legacy.lineage(node)[0]
-        assert resident.trusted(policy) == legacy.trusted(policy)[0]
-        assert legacy.store.meta_get("index_state") == "current"
+        with rebuilt_index_queries(
+            store, program, resident.catalog, resident.mappings
+        ) as copy:
+            verdicts, stats = copy.derivability()
+            # The copy answered from an index it rebuilt itself.
+            assert stats.index_miss == 1
+            assert copy.store.path != store.path
+            assert resident.derivability() == verdicts
+            assert resident.lineage(node) == copy.lineage(node)[0]
+            assert resident.trusted(policy) == copy.trusted(policy)[0]
+        assert copy.store.closed
+        # The maintained index was only read.
+        assert store.meta_get("index_state") == "current"
+        assert store.meta_get("index_epoch") == epoch
 
     def test_repeat_queries_answer_from_the_epoch_cache(self, tmp_path):
         memory, resident = build_resident_deletion_pair(tmp_path)

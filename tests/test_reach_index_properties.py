@@ -1,24 +1,27 @@
 """Property-based cross-check of the maintained reachability index.
 
 Random chain/branched mapping topologies under random interleavings of
-insert / exchange / delete / propagate / query: the indexed answers
-must equal the unindexed relational path on every query, and the
-memory engine whenever no divergence window is open (un-propagated
-deletes: resident victim marking removes rows immediately while the
-graph keeps leaves until propagation; un-exchanged inserts: a
-propagation may sync them into the store before the graph learns of
-them).  After the lifecycle, a
-store reopened by path must still know its index epoch and state and
-answer queries without a rebuild."""
+insert / exchange / delete / propagate / query: the maintained index's
+answers must equal a rebuilt-index copy of the store on every query,
+and the memory engine whenever no divergence window is open
+(un-propagated deletes: resident victim marking removes rows
+immediately while the graph keeps leaves until propagation;
+un-exchanged inserts: a propagation may sync them into the store
+before the graph learns of them).  After the lifecycle, a store
+reopened by path must still know its index epoch and state and answer
+queries without a rebuild."""
 
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cdss import CDSS, Peer, TrustPolicy
-from repro.exchange.graph_queries import StoreGraphQueries
+from repro.exchange.graph_queries import (
+    StoreGraphQueries,
+    rebuilt_index_queries,
+)
 from repro.exchange.sql_executor import ExchangeStore
 from repro.relational import RelationSchema
 from repro.relational.schema import is_local_name
@@ -47,14 +50,10 @@ def build_twins(kind):
     return out[0], out[1], data, mappings[0].split(":")[0]
 
 
-def legacy_oracle(resident):
+def rebuilt_oracle(resident):
     program, _ = resident.plan_cache.fetch(resident.program())
-    return StoreGraphQueries(
-        resident.exchange_store,
-        program,
-        resident.catalog,
-        resident.mappings,
-        use_index=False,
+    return rebuilt_index_queries(
+        resident.exchange_store, program, resident.catalog, resident.mappings
     )
 
 
@@ -67,25 +66,25 @@ def public_nodes(memory):
 
 
 def compare_queries(memory, resident, pick, distrusted, window_open):
-    oracle = legacy_oracle(resident)
     indexed = resident.derivability()
-    assert indexed == oracle.derivability()[0]
     policy = TrustPolicy()
     policy.distrust_mapping(distrusted)
     indexed_trust = resident.trusted(policy)
-    assert indexed_trust == oracle.trusted(policy)[0]
     nodes = public_nodes(memory)
     node = nodes[pick % len(nodes)] if nodes else None
-    if node is not None:
-        try:
-            from_index = resident.lineage(node)
-        except KeyError:
-            from_index = KeyError
-        try:
-            from_oracle = oracle.lineage(node)[0]
-        except KeyError:
-            from_oracle = KeyError
-        assert from_index == from_oracle
+    with rebuilt_oracle(resident) as oracle:
+        assert indexed == oracle.derivability()[0]
+        assert indexed_trust == oracle.trusted(policy)[0]
+        if node is not None:
+            try:
+                from_index = resident.lineage(node)
+            except KeyError:
+                from_index = KeyError
+            try:
+                from_oracle = oracle.lineage(node)[0]
+            except KeyError:
+                from_oracle = KeyError
+            assert from_index == from_oracle
     if window_open:
         return
     # No divergence window open: the memory engine must agree too.
@@ -112,6 +111,19 @@ ops = st.lists(
     kind=st.sampled_from(["chain", "branched"]),
     rows=st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
     operations=ops,
+)
+# A victim deleted and re-inserted with no exchange in between keeps
+# its consequences at propagation, as the memory engine's leaf does.
+@example(
+    kind="chain",
+    rows=[0],
+    operations=[
+        ("insert", 0, 6),
+        ("exchange", 0),
+        ("delete", 0),
+        ("delete", 0),
+        ("insert", 0, 6),
+    ],
 )
 def test_indexed_lifecycle_matches_both_oracles(kind, rows, operations):
     memory, resident, data, distrusted = build_twins(kind)

@@ -3,11 +3,13 @@
 Random interleavings of writer operations (insert / exchange / delete /
 propagate) with reader queries over chain and branched topologies: a
 persistent read-only :class:`ReaderSession` must answer every
-``lineage`` / ``derivability`` / ``trusted`` query exactly like the
-unindexed relational oracle at the epoch the reader observes — across
-epoch drift, per-epoch cache reuse, and index invalidation (a stale
-index makes the reader *refuse*, never answer wrongly, until the
-writer's next indexed query rebuilds it).
+``lineage`` / ``derivability`` / ``trusted`` query exactly like a
+rebuilt-index copy of the store at the epoch the reader observes — and
+like a memory-engine twin whenever no divergence window (un-propagated
+deletes, un-exchanged inserts) is open — across epoch drift, per-epoch
+cache reuse, and index invalidation (a stale index makes the reader
+*refuse*, never answer wrongly, until the writer's next indexed query
+rebuilds it).
 """
 
 import tempfile
@@ -17,44 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cdss import CDSS, Peer, TrustPolicy
+from repro.cdss import TrustPolicy
 from repro.errors import ServeUnavailable
-from repro.exchange.graph_queries import StoreGraphQueries
-from repro.relational import RelationSchema
 from repro.relational.schema import is_local_name
 from repro.serve import BackoffPolicy, ReaderSession
 
-LENGTH = 4
+from test_reach_index_properties import LENGTH, build_twins, rebuilt_oracle
 
 FAST_RETRY = BackoffPolicy(attempts=2, base_delay=0.0, multiplier=1.0)
-
-
-def build_resident(kind):
-    if kind == "chain":
-        mappings = [f"c{i}: B{i}(x) :- B{i - 1}(x)" for i in range(1, LENGTH)]
-        data = ["B0"]
-    else:  # branched: B0 and B1 join into B2, then a chain tail
-        mappings = ["j2: B2(x) :- B0(x), B1(x)", "c3: B3(x) :- B2(x)"]
-        data = ["B0", "B1"]
-    system = CDSS(
-        [
-            Peer.of(f"P{i}", [RelationSchema.of(f"B{i}", ["x"])])
-            for i in range(LENGTH)
-        ]
-    )
-    system.add_mappings(mappings)
-    return system, data, mappings[0].split(":")[0]
-
-
-def unindexed_oracle(resident):
-    program, _ = resident.plan_cache.fetch(resident.program())
-    return StoreGraphQueries(
-        resident.exchange_store,
-        program,
-        resident.catalog,
-        resident.mappings,
-        use_index=False,
-    )
 
 
 def stored_rows(resident, relation):
@@ -63,10 +35,11 @@ def stored_rows(resident, relation):
     )
 
 
-def compare_with_oracle(resident, readers, pick, distrusted):
-    """Every reader answer equals the unindexed oracle's, at the epoch
-    both observe (the writer is quiescent between ops, so the latest
-    epoch is the only servable one)."""
+def compare_with_oracle(resident, readers, pick, distrusted, memory=None):
+    """Every reader answer equals the rebuilt-index oracle's, at the
+    epoch both observe (the writer is quiescent between ops, so the
+    latest epoch is the only servable one), and *memory*'s when given
+    (no divergence window open)."""
     store = resident.exchange_store
     if store.meta_get("index_state") != "current":
         # Invalidation (large deletion cone): the reader must refuse
@@ -78,28 +51,34 @@ def compare_with_oracle(resident, readers, pick, distrusted):
             ).derivability()
         resident.derivability()  # writer-side rebuild
         assert store.meta_get("index_state") == "current"
-    oracle = unindexed_oracle(resident)
     epoch = int(store.meta_get("index_epoch") or 0)
-    expected_derivability = oracle.derivability()[0]
     policy = TrustPolicy()
     policy.distrust_mapping(distrusted)
-    expected_trusted = oracle.trusted(policy)[0]
-    nodes = sorted(
-        node
-        for node in expected_derivability
-        if not is_local_name(node.relation)
-    )
-    probe = nodes[pick % len(nodes)] if nodes else None
+    with rebuilt_oracle(resident) as oracle:
+        expected_derivability = oracle.derivability()[0]
+        expected_trusted = oracle.trusted(policy)[0]
+        nodes = sorted(
+            node
+            for node in expected_derivability
+            if not is_local_name(node.relation)
+        )
+        probe = nodes[pick % len(nodes)] if nodes else None
+        if probe is not None:
+            try:
+                expected_lineage = oracle.lineage(probe)[0]
+            except KeyError:
+                expected_lineage = KeyError
+    if memory is not None:
+        assert expected_derivability == memory.derivability()
+        assert expected_trusted == memory.trusted(policy)
+        if probe is not None:
+            assert expected_lineage == memory.lineage(probe)
     unknown = f"B{LENGTH - 1}", (987_654,)
     for reader in readers:
         assert reader.derivability() == expected_derivability
         assert reader.last_read.epoch == epoch
         assert reader.trusted(policy) == expected_trusted
         if probe is not None:
-            try:
-                expected_lineage = oracle.lineage(probe)[0]
-            except KeyError:
-                expected_lineage = KeyError
             try:
                 got = reader.lineage(probe)
             except KeyError:
@@ -130,24 +109,34 @@ ops = st.lists(
     operations=ops,
 )
 def test_reader_matches_oracle_under_interleavings(kind, rows, operations):
-    resident, data, distrusted = build_resident(kind)
+    memory, resident, data, distrusted = build_twins(kind)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "resident.db")
         for relation in data:
             for value in rows:
-                resident.insert_local(relation, (value,))
+                for system in (memory, resident):
+                    system.insert_local(relation, (value,))
+        memory.exchange()
         resident.exchange(engine="sqlite", storage=path, resident=True)
         readers = [
             ReaderSession(path, resident.catalog) for _ in range(2)
         ]
+        # Divergence windows vs the memory engine, as in
+        # test_reach_index_properties.
+        pending_inserts = False
+        pending_deletes = False
         try:
-            compare_with_oracle(resident, readers, 0, distrusted)
+            compare_with_oracle(resident, readers, 0, distrusted, memory)
             for op, arg, *rest in (operations or []):
                 if op == "insert":
                     relation = data[arg % len(data)]
-                    resident.insert_local(relation, (rest[0],))
+                    for system in (memory, resident):
+                        system.insert_local(relation, (rest[0],))
+                    pending_inserts = True
                 elif op == "exchange":
+                    memory.exchange()
                     resident.exchange(engine="sqlite", resident=True)
+                    pending_inserts = False
                 elif op == "delete":
                     candidates = [
                         (relation, row)
@@ -159,14 +148,25 @@ def test_reader_matches_oracle_under_interleavings(kind, rows, operations):
                     if not candidates:
                         continue
                     relation, row = candidates[arg % len(candidates)]
-                    resident.delete_local(relation, row)
+                    for system in (memory, resident):
+                        system.delete_local(relation, row)
+                    pending_deletes = True
                 elif op == "propagate":
-                    resident.propagate_deletions()
-                else:
-                    compare_with_oracle(
-                        resident, readers, arg, distrusted
+                    assert (
+                        memory.propagate_deletions()
+                        == resident.propagate_deletions()
                     )
-            compare_with_oracle(resident, readers, 1, distrusted)
+                    pending_deletes = False
+                else:
+                    window_open = pending_inserts or pending_deletes
+                    compare_with_oracle(
+                        resident, readers, arg, distrusted,
+                        None if window_open else memory,
+                    )
+            compare_with_oracle(
+                resident, readers, 1, distrusted,
+                None if pending_inserts or pending_deletes else memory,
+            )
         finally:
             for reader in readers:
                 reader.close()

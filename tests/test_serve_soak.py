@@ -2,7 +2,8 @@
 writer loops insert → exchange → delete → propagate.
 
 The harness (:mod:`repro.workloads.serving`) records a single-threaded
-unindexed-oracle answer for every epoch the writer creates and a digest
+oracle answer (a rebuilt-index copy of the store) for every epoch the
+writer creates and a digest
 of every answer every reader observed, keyed by the reader's epoch; the
 acceptance bar is **zero mismatches at each reader's observed epoch**,
 zero escaped ``SQLITE_BUSY``, zero reader errors — plus sub-millisecond
