@@ -145,6 +145,11 @@ ANCESTOR_CTE_SQL = (
 #: ``tin`` probe for one node in the interval encoding.
 INTERVAL_PROBE_SQL = f"SELECT tin FROM {_q(INFO_TABLE)} WHERE id = ?"
 
+#: the rule of any stored fire whose head lies in a node-id range.
+HEAD_RANGE_PROBE_SQL = (
+    f"SELECT rule FROM {_q(FIRE_TABLE)} WHERE head >= ? AND head < ? LIMIT 1"
+)
+
 #: ancestor-or-self window of a probe time in a tree-exact encoding.
 INTERVAL_WINDOW_SQL = (
     f"SELECT id FROM {_q(INFO_TABLE)} WHERE tin <= ? AND tout >= ?"
@@ -317,13 +322,19 @@ class ReachSQL:
         for rule in self.rules:
             for head in rule.heads:
                 if is_local_name(head.relation):
-                    raise ExchangeError(
-                        f"rule {rule.rule_name} derives into the "
-                        f"local-contribution relation {head.relation}; "
-                        "resident graph queries and deletion propagation "
-                        "treat local relations as EDB leaves — rewrite "
-                        "the mapping to target the public relation"
-                    )
+                    raise local_head_error(rule.rule_name, head.relation)
+
+
+def local_head_error(rule: str, relation: str) -> ExchangeError:
+    """The refusal for *rule* deriving into the local-contribution
+    relation *relation*, shared by :meth:`ReachSQL.check_local_leaves`
+    and the serving tier's stored-fire check."""
+    return ExchangeError(
+        f"rule {rule} derives into the local-contribution relation "
+        f"{relation}; resident graph queries and deletion propagation "
+        "treat local relations as EDB leaves — rewrite the mapping to "
+        "target the public relation"
+    )
 
 
 def _endpoint_insert(

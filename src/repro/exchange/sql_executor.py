@@ -613,8 +613,12 @@ class ExchangeStore:
         (the graph engine never dropped its leaf node, so its recorded
         firings still count at propagation).  The rows go ahead of the
         change journal — the next :meth:`sync_instance` skips them.
-        Their fires left the index with the delete, so the caller must
-        rebuild it.  Returns the number of rows shipped."""
+        Their fires left the index with the delete, so the same
+        transaction marks the index stale and the suspect set
+        incomplete: no committed state shows the rows stored again
+        under a current index (``docs/serving.md``), and the caller's
+        propagation rebuilds the index and runs the kernel whole.
+        Returns the number of rows shipped."""
         back = {
             name: rows
             for name, victims in self._victims.items()
@@ -630,6 +634,9 @@ class ExchangeStore:
                     f"INSERT INTO {_q(name)} VALUES ({placeholders})",
                     [self.codec.encode_row(row) for row in rows],
                 )
+            # The INSERTs opened the transaction: both marks ride it.
+            self.reach_index.mark_stale()
+            self.reach_index.note_unmaintained_delete()
         for name, rows in back.items():
             self._victims[name] -= rows
             self._reshipped.setdefault(name, set()).update(rows)
@@ -984,9 +991,6 @@ class SQLiteExchangeEngine:
         index = self.store.reach_index
         index.ensure_schema(rsql)
         reshipped = self.store.ship_reinserted_victims(instance)
-        if reshipped:
-            index.mark_stale()
-            index.note_unmaintained_delete()
         tracer = self.tracer
         conn = self.store.connection
         result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")

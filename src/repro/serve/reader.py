@@ -44,6 +44,7 @@ from repro.errors import (
 )
 from repro.exchange.reach_index import (
     ANCESTOR_CTE_SQL,
+    HEAD_RANGE_PROBE_SQL,
     INTERVAL_PROBE_SQL,
     INTERVAL_WINDOW_SQL,
     REL_SHIFT,
@@ -51,6 +52,7 @@ from repro.exchange.reach_index import (
     liveness_over_edges,
     load_edges,
     load_relnos,
+    local_head_error,
 )
 from repro.exchange.sql_executor import normalize_store_path
 from repro.obs.metrics import MetricsRegistry
@@ -130,7 +132,7 @@ class ReadStats:
 class _EpochCache:
     """Everything a session memoizes for one observed epoch."""
 
-    __slots__ = ("epoch", "results", "nodes", "edges", "refs")
+    __slots__ = ("epoch", "results", "nodes", "edges", "refs", "checked")
 
     def __init__(self, epoch: int) -> None:
         self.epoch = epoch
@@ -145,6 +147,8 @@ class _EpochCache:
         ) = None
         #: strong refs keeping id()-keyed trust conditions alive.
         self.refs: list[object] = []
+        #: :meth:`ReaderSession._check_local_heads` passed at this epoch.
+        self.checked = False
 
 
 class ReaderSession:
@@ -315,6 +319,9 @@ class ReaderSession:
                         f"at epoch {state.epoch}"
                     )
                 cache = self._epoch_cache(state)
+                if not cache.checked:
+                    self._check_local_heads(conn)
+                    cache.checked = True
                 if key in cache.results:
                     return cache.results[key], state, True, "cache"
                 value, path = compute(conn, state, cache)
@@ -379,6 +386,23 @@ class ReaderSession:
         return [
             name for name in self.catalog.names() if name in self._relnos
         ]
+
+    def _check_local_heads(self, conn: sqlite3.Connection) -> None:
+        """Refuse a store where a stored fire derives into a
+        local-contribution relation, as the writer's queries refuse the
+        program (:meth:`ReachSQL.check_local_leaves`): liveness seeds
+        every stored ``R_l`` row, so a derived-only one would count as
+        a base tuple.  One indexed probe per local relation per
+        epoch."""
+        for relation in self._covered(conn):
+            if not is_local_name(relation):
+                continue
+            base = self._relnos[relation] * REL_SHIFT
+            found = conn.execute(
+                HEAD_RANGE_PROBE_SQL, (base, base + REL_SHIFT)
+            ).fetchone()
+            if found is not None:
+                raise local_head_error(str(found[0]), relation)
 
     def _nodes(
         self,

@@ -359,6 +359,35 @@ class TestReaderSession:
                 reader.derivability()
         system.exchange_store.dirty_run = False
 
+    def test_fire_into_local_relation_refused(self, tmp_path):
+        # m_loc derives P0_R_l(1, 2); liveness would seed it like a
+        # local contribution.  The writer refuses the program
+        # (ReachSQL.check_local_leaves); the reader refuses the stored
+        # fire, so both sides reject this store.
+        system = CDSS(
+            Peer.of(
+                name, [RelationSchema.of(f"{name}_R", ["k", "v"], key=["k"])]
+            )
+            for name in ("P0", "P1")
+        )
+        system.add_mapping("m1: P0_R(k, v) :- P1_R(k, v)")
+        system.add_mapping("m_loc: P0_R_l(k, v) :- P1_R(k, v)")
+        system.insert_local("P0_R", (5, 6))
+        system.insert_local("P1_R", (1, 2))
+        path = str(tmp_path / "loc.db")
+        system.exchange(engine="sqlite", storage=path, resident=True)
+        with pytest.raises(ExchangeError, match="P0_R_l"):
+            system.derivability()
+        node = TupleNode("P0_R", (1, 2))
+        with ReaderSession(path, system.catalog) as reader:
+            for query in (
+                reader.derivability,
+                lambda: reader.trusted(TrustPolicy()),
+                lambda: reader.lineage(node),
+            ):
+                with pytest.raises(ExchangeError, match="m_loc.*P0_R_l"):
+                    query()
+
     def test_interval_path_on_forest_store(self, tmp_path):
         _, resident = copy_chain_twins()
         path = str(tmp_path / "chain.db")

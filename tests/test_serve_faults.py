@@ -15,7 +15,10 @@ the parent:
   state, and a reopened writer completes the propagation;
 * SIGKILLed after the dead cone is staged and its rows are cut, before
   the kill transaction commits → the same rollback, with the persisted
-  deletion suspects intact for the re-run.
+  deletion suspects intact for the re-run;
+* SIGKILLed after a re-inserted deletion victim was stored again, before
+  the dead cone is staged → the stale mark committed with the row, so
+  readers refuse, and a reopened writer rebuilds and converges.
 """
 
 import os
@@ -226,5 +229,72 @@ class TestWriterKilledMidPropagation:
                 memory.instance[schema.name]
             ), schema.name
         assert store.count(SUSPECT_TABLE) == 0
+        with ReaderSession(path, healed.catalog) as reader:
+            assert reader.derivability() == memory.derivability()
+
+
+class TestWriterKilledAfterVictimShip:
+    def test_reshipped_victim_commits_with_the_stale_mark(
+        self, tmp_path, tests_dir
+    ):
+        path = str(tmp_path / "reship.db")
+        proc = _run_child(
+            """
+            import signal
+            system = build_example()
+            system.exchange(engine="sqlite", storage=path, resident=True)
+            assert system.delete_local("C", (2, "cn2"))
+            system.insert_local("C", (2, "cn2"))
+            from repro.exchange.sql_executor import ExchangeStore
+            ship = ExchangeStore.ship_reinserted_victims
+
+            def ship_then_die(self, instance):
+                # The re-inserted victim is stored again first; die
+                # as soon as that returns.
+                assert ship(self, instance) == 1
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            ExchangeStore.ship_reinserted_victims = ship_then_die
+            system.propagate_deletions()
+            os._exit(1)  # unreachable
+            """,
+            path,
+            tests_dir,
+        )
+        assert proc.returncode == -9, proc.stderr
+
+        # The victim's fires left the index with the delete: with the
+        # row back in the store the index cannot be current, so the
+        # same commit marked it stale and readers refuse.
+        schema_only = build_example()
+        with ExchangeStore(path) as store:
+            assert (2, "cn2") in store.relation_rows(
+                schema_only.catalog["C"]
+            )
+            assert store.meta_get("index_state") == "stale"
+            assert store.meta_get("suspects_incomplete")
+        with ReaderSession(
+            path, schema_only.catalog, retry=FAST_RETRY
+        ) as reader:
+            with pytest.raises(ServeUnavailable, match="stale"):
+                reader.derivability()
+
+        # A reopened writer rebuilds the index, propagates over every
+        # derived row and matches the memory engine, whose leaf node
+        # survived the delete and re-insert.
+        memory = build_example()
+        memory.exchange()
+        memory.delete_local("C", (2, "cn2"))
+        memory.insert_local("C", (2, "cn2"))
+        memory.propagate_deletions()
+        healed = build_example()
+        healed.exchange(engine="sqlite", storage=path, resident=True)
+        healed.propagate_deletions()
+        store = healed.exchange_store
+        for schema in healed.catalog:
+            assert store.relation_rows(schema) == set(
+                memory.instance[schema.name]
+            ), schema.name
+        assert not store.meta_get("suspects_incomplete")
         with ReaderSession(path, healed.catalog) as reader:
             assert reader.derivability() == memory.derivability()
